@@ -4,6 +4,8 @@ A simplex is a tuple of strictly increasing vertex ids.  A complex stores
 its simplices closed under the face relation, sorted by (dimension,
 lexicographic vertices) so that positions are reproducible.  A filtration
 attaches a real value to every simplex, monotone along the face relation.
+The comma-separated table format that clouds, diagrams, traces and
+matchings are written in lives here too.
 """
 from __future__ import annotations
 
@@ -255,3 +257,28 @@ def read_complex(path) -> tuple[SimplicialComplex, np.ndarray | None]:
     if np.isnan(vals).any():
         raise ValueError("file is not closed under faces but carries values")
     return cx, vals
+
+
+# ---------------------------------------------------------------------------
+# comma-separated tables (clouds, diagrams, traces, matchings): a header line
+# of column names, then one row per line with every number written to 17
+# significant digits, which round-trips float64 exactly.
+
+
+def write_table(path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def read_table(path, first_column: str) -> list[list[str]]:
+    """The fields of every data row; blank lines, '#' comments and header
+    lines (those starting with ``first_column``) are skipped."""
+    rows = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith(("#", first_column)):
+                rows.append(line.split(","))
+    return rows

@@ -3,14 +3,12 @@
 ``run_experiment`` sweeps a (step size, decay) grid for each method on the
 circle-with-outlier cloud, writing traces, snapshot clouds, and snapshot
 diagrams per cell, plus a deterministic manifest (best cell per method) and
-a separate wall-time file.  TOPO_OPT_THREADS bounds the worker pool used
-for grid cells.
+a separate wall-time file.
 """
 from __future__ import annotations
 
-import os
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +16,7 @@ import numpy as np
 
 from .filtrations import VietorisRips, write_cloud
 from .losses import EmptyDiagramDistanceLoss
-from .optim import BoxRegularizer, DescentConfig, descend
+from .optim import BoxRegularizer, DescentConfig, descend, write_trace
 from .reduction import build_diagram, write_diagram
 from .schemes import (
     StratifiedConfig,
@@ -26,7 +24,6 @@ from .schemes import (
     distributed_gradient,
     vanilla_gradient,
 )
-from .optim import write_trace
 
 DEFAULT_ETAS = (0.064, 0.128, 0.256)
 DEFAULT_GAMMAS = (1.0, 0.9, 0.8, 0.7)
@@ -83,6 +80,13 @@ class ExperimentSpec:
     diffeo_sigma: float = 0.05
 
 
+def _write_manifest(out: Path, manifest: dict) -> None:
+    """manifest.txt: one key=value line per entry, sorted by key."""
+    with open(out / "manifest.txt", "w") as fh:
+        for k in sorted(manifest):
+            fh.write(f"{k}={manifest[k]}\n")
+
+
 def _cell_config(spec: ExperimentSpec, method: str, eta: float, gamma: float) -> DescentConfig:
     return DescentConfig(
         method=method,
@@ -107,16 +111,11 @@ def _run_cell(spec, family, X0, loss, reg, method, eta, gamma, cell_dir: Path):
     theta, trace = descend(family, X0, loss, cfg, regularizer=reg)
     elapsed = time.perf_counter() - t0
     write_trace(cell_dir / "trace.csv", trace)
-    for k, snap in sorted(trace.snapshots.items()):
+    for k, snap in {**trace.snapshots, cfg.steps: theta}.items():
         write_cloud(cell_dir / f"cloud_step{k}.csv", snap)
         write_diagram(
             cell_dir / f"diagram_step{k}.csv", build_diagram(family.filtration(snap))
         )
-    write_cloud(cell_dir / f"cloud_step{cfg.steps}.csv", theta)
-    write_diagram(
-        cell_dir / f"diagram_step{cfg.steps}.csv",
-        build_diagram(family.filtration(theta)),
-    )
     return float(trace.records[-1].loss), elapsed
 
 
@@ -130,28 +129,12 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
     X0 = gen_circle(spec.n_points, noise=spec.noise, outlier=spec.outlier, seed=spec.seed)
     family = VietorisRips(len(X0), max_dim=2)
     loss, reg = circle_loss()
-    cells = [
-        (m, eta, gamma)
-        for m in spec.methods
-        for eta in spec.etas
-        for gamma in spec.gammas
-    ]
-    workers = max(1, int(os.environ.get("TOPO_OPT_THREADS", "1")))
     results: dict[tuple, tuple[float, float]] = {}
-
-    def work(cell):
-        m, eta, gamma = cell
+    for m, eta, gamma in itertools.product(spec.methods, spec.etas, spec.gammas):
         cell_dir = out / m / f"eta{eta:g}_gamma{gamma:g}"
-        return cell, _run_cell(spec, family, X0, loss, reg, m, eta, gamma, cell_dir)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for cell, res in ex.map(work, cells):
-                results[cell] = res
-    else:
-        for cell in cells:
-            cell, res = work(cell)
-            results[cell] = res
+        results[(m, eta, gamma)] = _run_cell(
+            spec, family, X0, loss, reg, m, eta, gamma, cell_dir
+        )
 
     manifest: dict[str, str] = {
         "experiment": spec.name,
@@ -170,9 +153,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> dict:
         method_time[m] = sum(
             res[1] for (mm, _, _), res in results.items() if mm == m
         )
-    with open(out / "manifest.txt", "w") as fh:
-        for k in sorted(manifest):
-            fh.write(f"{k}={manifest[k]}\n")
+    _write_manifest(out, manifest)
     with open(out / "timings.csv", "w") as fh:
         fh.write("method,eta,gamma,seconds\n")
         for (m, eta, gamma), (_, secs) in sorted(results.items()):
@@ -194,13 +175,8 @@ def run_subsample_experiment(out_dir, n: int = 2000, s: int = 50,
     X = gen_circle(n, outlier=False, seed=seed)
     loss, _ = circle_loss()
     family = VietorisRips(n, max_dim=2)
-    idx = np.sort(rng.choice(n, size=s, replace=False))
-    sub = family.subsample(idx)
-    _, gsub, _ = vanilla_gradient(sub, X[idx], loss)
-    g_vanilla = np.zeros_like(X)
-    g_vanilla[idx] = gsub
-    field_interp = diffeo_interpolate(X, g_vanilla, sigma)
-    g_diffeo = field_interp(X) if len(field_interp.centers) else np.zeros_like(X)
+    g_vanilla = distributed_gradient(family, X, loss, 1, s, rng)
+    g_diffeo = diffeo_interpolate(X, g_vanilla, sigma)(X)
     g_dist = distributed_gradient(family, X, loss, n_sub, s, rng)
 
     def support(g, tol=1e-12):
@@ -214,9 +190,7 @@ def run_subsample_experiment(out_dir, n: int = 2000, s: int = 50,
         "support.distributed": str(support(g_dist)),
     }
     write_cloud(out / "cloud.csv", X)
-    with open(out / "manifest.txt", "w") as fh:
-        for k in sorted(manifest):
-            fh.write(f"{k}={manifest[k]}\n")
+    _write_manifest(out, manifest)
     return manifest
 
 
@@ -239,7 +213,5 @@ def run_sphere_experiment(out_dir, n: int = 500, s: int = 16, seed: int = 0) -> 
         "h2_points": str(len(dgm.ordinary(2))),
         "loss": f"{value:.17g}",
     }
-    with open(out / "manifest.txt", "w") as fh:
-        for k in sorted(manifest):
-            fh.write(f"{k}={manifest[k]}\n")
+    _write_manifest(out, manifest)
     return manifest

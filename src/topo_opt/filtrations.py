@@ -21,7 +21,9 @@ from .complexes import (
     boundary,
     complete_complex,
     is_face,
+    read_table,
     total_order,
+    write_table,
 )
 
 
@@ -63,11 +65,9 @@ def _witness_pair(simplex: Simplex, M: np.ndarray) -> tuple[int, int]:
     return wit
 
 
-class VietorisRips:
-    """Half-diameter Vietoris-Rips filtration on the complete complex.
-
-    Simplex value is max_{i,j in sigma} ||x_i - x_j|| / 2; vertices enter at 0.
-    """
+class _CompleteFamily:
+    """A family on the complete complex over n_points vertices, truncated at
+    max_dim, with values built from pairwise distances."""
 
     def __init__(self, n_points: int, max_dim: int):
         self.n_points = n_points
@@ -82,9 +82,17 @@ class VietorisRips:
             self._complex = complete_complex(self.n_points, self.max_dim)
         return self._complex
 
-    def _dists(self, X: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _dists(X: np.ndarray) -> np.ndarray:
         diff = X[:, None, :] - X[None, :, :]
         return np.sqrt((diff * diff).sum(axis=-1))
+
+
+class VietorisRips(_CompleteFamily):
+    """Half-diameter Vietoris-Rips filtration on the complete complex.
+
+    Simplex value is max_{i,j in sigma} ||x_i - x_j|| / 2; vertices enter at 0.
+    """
 
     def filtration(self, X: np.ndarray) -> Filtration:
         X = np.asarray(X, dtype=float)
@@ -201,7 +209,7 @@ class DTMWeights:
         return g
 
 
-class WeightedRips:
+class WeightedRips(_CompleteFamily):
     """Weighted Rips filtration.
 
     Vertex {j} enters at 2 f(x_j); an edge {i,j} at
@@ -211,20 +219,11 @@ class WeightedRips:
     """
 
     def __init__(self, n_points: int, max_dim: int, weights):
-        self.n_points = n_points
-        self.max_dim = max_dim
+        super().__init__(n_points, max_dim)
         self.weights = weights
-        self._complex = None
-
-    @property
-    def complex(self):
-        if self._complex is None:
-            self._complex = complete_complex(self.n_points, self.max_dim)
-        return self._complex
 
     def _edge_matrix(self, X, f):
-        diff = X[:, None, :] - X[None, :, :]
-        D = np.sqrt((diff * diff).sum(axis=-1))
+        D = self._dists(X)
         fi = f[:, None]
         fj = f[None, :]
         return np.maximum(np.maximum(2 * fi, 2 * fj), D + fi + fj), D
@@ -326,8 +325,7 @@ class HeightFiltration:
     def __init__(self, complex: SimplicialComplex, positions: np.ndarray):
         self.complex = complex
         self.positions = np.asarray(positions, dtype=float)
-        self.vertices = [s[0] for s in complex.skeleton(0)]
-        self.vindex = {v: i for i, v in enumerate(self.vertices)}
+        self._lower_star = LowerStar(complex)
 
     def _unit(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -338,22 +336,15 @@ class HeightFiltration:
         return theta
 
     def filtration(self, theta: np.ndarray) -> Filtration:
-        theta = self._unit(theta)
-        h = self.positions @ theta
-        vals = np.array(
-            [max(h[self.vindex[v]] for v in s) for s in self.complex.simplices]
-        )
-        return Filtration(self.complex, vals, check=False)
+        return self._lower_star.filtration(self.positions @ self._unit(theta))
 
     def witness(self, theta: np.ndarray, simplex: Simplex) -> int:
-        theta = self._unit(theta)
-        h = self.positions @ theta
-        best = max(h[self.vindex[v]] for v in simplex)
-        return min(v for v in simplex if h[self.vindex[v]] == best)
+        return self._lower_star.witness(self.positions @ self._unit(theta), simplex)
 
     def simplex_gradient(self, theta: np.ndarray, simplex: Simplex) -> dict:
         theta = self._unit(theta)
-        xw = self.positions[self.vindex[self.witness(theta, tuple(simplex))]]
+        w = self.witness(theta, tuple(simplex))
+        xw = self.positions[self._lower_star.vindex[w]]
         g = xw - theta * (theta @ xw)
         return {i: g[i] for i in range(len(g))}
 
@@ -471,18 +462,9 @@ def move_values(
 
 def write_cloud(path, X: np.ndarray) -> None:
     X = np.asarray(X, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{k}" for k in range(X.shape[1])) + "\n")
-        for row in X:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    write_table(path, [f"x{k}" for k in range(X.shape[1])], X)
 
 
 def read_cloud(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("x0") or line.startswith("#"):
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows, dtype=float)
+    rows = read_table(path, "x0")
+    return np.asarray([[float(v) for v in row] for row in rows], dtype=float)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import PartialMatching, diagonal_distance, fg_distance
+from .metrics import diagonal_distance, fg_distance
 from .reduction import PersistenceDiagram
 
 PRUNE_TOL = 1e-12

@@ -14,6 +14,8 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
+from .complexes import read_table, write_table
+
 
 @dataclass
 class PartialMatching:
@@ -158,19 +160,9 @@ def bottleneck_distance(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, Par
 
 def write_matching(path, matching: PartialMatching) -> None:
     """Serialize a matching as side_a,side_b rows (-1 for the diagonal)."""
-    with open(path, "w") as fh:
-        fh.write("side_a,side_b\n")
-        for i, j in matching.pairs:
-            fh.write(f"{i},{j}\n")
+    write_table(path, ("side_a", "side_b"), matching.pairs)
 
 
 def read_matching(path) -> PartialMatching:
-    pairs = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("side_a"):
-                continue
-            i, j = line.split(",")
-            pairs.append((int(i), int(j)))
+    pairs = [(int(i), int(j)) for i, j in read_table(path, "side_a")]
     return PartialMatching(pairs, float("nan"))

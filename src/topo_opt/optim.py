@@ -8,33 +8,22 @@ excluded from trace equality.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .complexes import read_table, write_table
 from .losses import DiagramLoss
 from .schemes import (
     StratifiedConfig,
+    _sampled_min_norm,
     big_step_gradient,
     continuation_step,
     diffeo_interpolate,
     distributed_gradient,
-    min_norm_point,
-    sample_strata,
     stratified_gradient,
     stratified_gradient_const,
     vanilla_gradient,
-)
-
-METHODS = (
-    "vanilla",
-    "stratified",
-    "stratified_const",
-    "big_step",
-    "continuation",
-    "distributed",
-    "diffeo",
 )
 
 
@@ -69,7 +58,8 @@ class Trace:
 
 
 class DescentAborted(RuntimeError):
-    """Raised when the loss turns non-finite; carries the partial trace."""
+    """Raised when the loss or the gradient turns non-finite; carries the
+    partial trace."""
 
     def __init__(self, message: str, trace: Trace):
         super().__init__(message)
@@ -112,14 +102,79 @@ class DescentConfig:
         raise ValueError(f"unknown schedule {self.schedule!r}")
 
 
+# ---------------------------------------------------------------------------
+# one step per method: (family, theta, loss, cfg, lr, rng) ->
+# (value, g, step_size, theta_next).  step_size None means no admissible step
+# remains; theta_next, when not None, replaces theta - step_size * g.
+
+
+def _vanilla_step(family, theta, loss, cfg, lr, rng):
+    value, g, _ = vanilla_gradient(family, theta, loss)
+    return value, g, lr, None
+
+
+def _stratified_step(gradient, family, theta, loss, cfg, lr, rng):
+    value, _, _ = vanilla_gradient(family, theta, loss)
+    g, alpha = gradient(family, theta, loss, cfg.stratified, rng)
+    # alpha = 0 is approximate stationarity: the sampled-strata min-norm
+    # point vanished
+    return value, g, alpha if alpha != 0.0 else None, None
+
+
+def _big_step(family, theta, loss, cfg, lr, rng):
+    value, g, _ = big_step_gradient(
+        family, theta, loss, push_scale=lr, variant=cfg.moving_set_variant
+    )
+    return value, g, lr, None
+
+
+def _continuation_step(family, theta, loss, cfg, lr, rng):
+    if not cfg.continuation_targets:
+        raise ValueError("continuation requires target diagrams")
+    theta_next, dgm = continuation_step(
+        family, theta, cfg.continuation_targets, gamma=lr
+    )
+    value, _ = loss.evaluate(dgm)
+    g = (theta - theta_next) / lr if lr else np.zeros_like(theta)
+    return value, g, lr, theta_next
+
+
+def _distributed_step(family, theta, loss, cfg, lr, rng):
+    value, _, _ = vanilla_gradient(family, theta, loss)
+    g = distributed_gradient(family, theta, loss, cfg.n_sub, cfg.subsample_size, rng)
+    return value, g, lr, None
+
+
+def _diffeo_step(family, theta, loss, cfg, lr, rng):
+    value, g, _ = vanilla_gradient(family, theta, loss)
+    g = diffeo_interpolate(theta, g, cfg.diffeo_sigma, cfg.diffeo_ridge)(theta)
+    return value, g, lr, None
+
+
+# every step looks its gradient function up at call time, so a replaced
+# module attribute (a tracer's wrapper, a test double) is the one called
+_STEPS = {
+    "vanilla": _vanilla_step,
+    "stratified": lambda *a: _stratified_step(stratified_gradient, *a),
+    "stratified_const": lambda *a: _stratified_step(stratified_gradient_const, *a),
+    "big_step": _big_step,
+    "continuation": _continuation_step,
+    "distributed": _distributed_step,
+    "diffeo": _diffeo_step,
+}
+METHODS = tuple(_STEPS)
+
+
 def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
             regularizer=None):
     """Run cfg.steps descent steps from theta0; returns (theta, Trace).
 
     ``regularizer``, when given, must expose value_and_grad(theta) and is
-    added to the topological loss for every method.
+    added to the topological loss for every method.  A non-finite loss or
+    gradient norm raises DescentAborted.
     """
-    if cfg.method not in METHODS:
+    step = _STEPS.get(cfg.method)
+    if step is None:
         raise ValueError(f"unknown method {cfg.method!r}")
     rng = np.random.default_rng(cfg.seed)
     schedule = cfg.make_schedule()
@@ -128,67 +183,32 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
     for k in range(cfg.steps + 1):
         t0 = time.perf_counter()
         lr = schedule(k)
-        step_size = lr
-        theta_next_override = None
-        if cfg.method in ("vanilla", "distributed", "diffeo"):
-            value, g, _ = vanilla_gradient(family, theta, loss)
-            if cfg.method == "distributed":
-                g = distributed_gradient(
-                    family, theta, loss, cfg.n_sub, cfg.subsample_size, rng
-                )
-            elif cfg.method == "diffeo":
-                fld = diffeo_interpolate(theta, g, cfg.diffeo_sigma, cfg.diffeo_ridge)
-                g = fld(theta) if len(fld.centers) else np.zeros_like(theta)
-        elif cfg.method in ("stratified", "stratified_const"):
-            value, _, _ = vanilla_gradient(family, theta, loss)
-            fn = (
-                stratified_gradient
-                if cfg.method == "stratified"
-                else stratified_gradient_const
-            )
-            g, alpha = fn(family, theta, loss, cfg.stratified, rng)
-            step_size = alpha
-        elif cfg.method == "big_step":
-            value, g, _ = big_step_gradient(
-                family, theta, loss, push_scale=lr, variant=cfg.moving_set_variant
-            )
-        elif cfg.method == "continuation":
-            if not cfg.continuation_targets:
-                raise ValueError("continuation requires target diagrams")
-            theta_next_override, dgm = continuation_step(
-                family, theta, cfg.continuation_targets, gamma=lr
-            )
-            value, _ = loss.evaluate(dgm)
-            g = (theta - theta_next_override) / lr if lr else np.zeros_like(theta)
+        value, g, step_size, theta_next = step(family, theta, loss, cfg, lr, rng)
         if regularizer is not None:
             rv, rg = regularizer.value_and_grad(theta)
             value += rv
             g = g + rg
-            if theta_next_override is not None:
-                theta_next_override = theta_next_override - lr * rg
+            if theta_next is not None:
+                theta_next = theta_next - lr * rg
         gnorm = float(np.linalg.norm(g))
         trace.records.append(
             TraceRecord(k, float(value), gnorm, (time.perf_counter() - t0) * 1e3)
         )
         if k in cfg.snapshot_steps:
             trace.snapshots[k] = theta.copy()
-        if not np.isfinite(value):
+        if not (np.isfinite(value) and np.isfinite(gnorm)):
             raise DescentAborted(
-                f"non-finite loss {value} at step {k} (grad norm {gnorm})", trace
+                f"non-finite loss {value} or grad norm {gnorm} at step {k}", trace
             )
-        if k == cfg.steps:
-            break
-        if cfg.method in ("stratified", "stratified_const") and step_size == 0.0:
-            # approximate stationarity: the sampled-strata min-norm point
-            # vanished, no admissible step remains.
+        if k == cfg.steps or step_size is None:
             break
         zeta = (
             rng.normal(0.0, cfg.noise_std, size=theta.shape)
             if cfg.noise_std > 0
             else 0.0
         )
-        if theta_next_override is not None:
-            theta = theta_next_override + (
+        if theta_next is not None:
+            theta = theta_next + (
                 -lr * zeta if cfg.noise_std > 0 else 0.0
             )
         else:
@@ -202,10 +222,7 @@ def goldstein_check(family, theta, loss: DiagramLoss, eps: float, m: int,
     strata gradients within the eps-ball.  Returns (is_stationary, norm)."""
     if rng is None:
         rng = np.random.default_rng(0)
-    pts = sample_strata(family, theta, eps, m, rng)
-    grads = [vanilla_gradient(family, p, loss)[1] for p in pts]
-    g = min_norm_point(grads)
-    nrm = float(np.linalg.norm(g))
+    nrm = float(_sampled_min_norm(family, theta, loss, eps, m, rng)[3])
     return nrm <= eta, nrm
 
 
@@ -228,19 +245,10 @@ class BoxRegularizer:
 
 
 def write_trace(path, trace: Trace) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,loss,grad_norm,time_ms\n")
-        for r in trace.records:
-            fh.write(f"{r.step},{r.loss:.17g},{r.grad_norm:.17g},{r.time_ms:.17g}\n")
+    write_table(path, ("step", "loss", "grad_norm", "time_ms"),
+                ((r.step, r.loss, r.grad_norm, r.time_ms) for r in trace.records))
 
 
 def read_trace(path) -> Trace:
-    trace = Trace()
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("step,"):
-                continue
-            s, l, g, t = line.split(",")
-            trace.records.append(TraceRecord(int(s), float(l), float(g), float(t)))
-    return trace
+    return Trace([TraceRecord(int(s), float(l), float(g), float(t))
+                  for s, l, g, t in read_table(path, "step")])

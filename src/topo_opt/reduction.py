@@ -16,10 +16,11 @@ import numpy as np
 from .complexes import (
     Filtration,
     Simplex,
-    SimplicialComplex,
     boundary,
     is_face,
+    read_table,
     total_order,
+    write_table,
 )
 
 
@@ -93,11 +94,9 @@ class ReducedDecomposition:
         self.simplices: list[Simplex] = [cx.simplices[i] for i in sig.order]
         self.values: np.ndarray = filtration.values[list(sig.order)].copy()
         self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        n = len(self.simplices)
-        cols = [
-            {self.pos[f] for f in boundary(s)} for s in self.simplices
-        ]
-        self.R, self.V, self.U, self.pivot = _reduce_columns(cols, with_basis)
+        self.R, self.V, self.U, self.pivot = _reduce_columns(
+            self.boundary_columns(), with_basis
+        )
         self.lowof: list[int | None] = [max(c) if c else None for c in self.R]
         self._Rrows = self._Vrows = self._Ucols = None
 
@@ -137,7 +136,7 @@ class ReducedDecomposition:
         return PersistencePairing(dict(pairs), dict(unpaired))
 
     def boundary_columns(self) -> list[set[int]]:
-        """Rebuild D for the current order (used for validity checks)."""
+        """The boundary matrix D in the current order, as row-index sets."""
         return [{self.pos[f] for f in boundary(s)} for s in self.simplices]
 
     # -- duals and mutation -------------------------------------------------
@@ -366,27 +365,18 @@ def write_diagram(path, dgm: PersistenceDiagram) -> None:
         for b in dgm.essential.get(dim, ()):
             rows.append((dim, b, np.inf))
     rows.sort()
-    with open(path, "w") as fh:
-        fh.write("dim,birth,death\n")
-        for dim, b, d in rows:
-            ds = "inf" if np.isinf(d) else f"{d:.17g}"
-            fh.write(f"{dim},{b:.17g},{ds}\n")
+    write_table(path, ("dim", "birth", "death"), rows)
 
 
 def read_diagram(path) -> PersistenceDiagram:
     pts: dict[int, list] = defaultdict(list)
     ess: dict[int, list] = defaultdict(list)
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("dim,") or line.startswith("#"):
-                continue
-            d_s, b_s, dd_s = line.split(",")
-            dim, b = int(d_s), float(b_s)
-            if dd_s == "inf":
-                ess[dim].append(b)
-            else:
-                pts[dim].append((b, float(dd_s)))
+    for d_s, b_s, dd_s in read_table(path, "dim"):
+        dim, b = int(d_s), float(b_s)
+        if dd_s == "inf":
+            ess[dim].append(b)
+        else:
+            pts[dim].append((b, float(dd_s)))
     return PersistenceDiagram(
         {k: np.asarray(v).reshape(len(v), 2) for k, v in pts.items()},
         {k: np.asarray(v) for k, v in ess.items()},

@@ -9,7 +9,7 @@ a gradient field.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,6 +135,21 @@ class StratifiedConfig:
     seed: int = 0
 
 
+def _sampled_min_norm(family, theta, loss: DiagramLoss, eps: float, m: int,
+                      rng: np.random.Generator):
+    """Sample strata in the eps-ball around theta, take the vanilla gradient
+    at every sampled point and their min-norm point.
+
+    Returns (points, gradients, g, ||g||); a non-finite ||g|| is an error."""
+    pts = sample_strata(family, theta, eps, m, rng)
+    grads = [vanilla_gradient(family, p, loss)[1] for p in pts]
+    g = min_norm_point(grads)
+    nrm = np.linalg.norm(g)
+    if not np.isfinite(nrm):
+        raise ValueError(f"non-finite min-norm gradient norm {nrm} over sampled strata")
+    return pts, grads, g, nrm
+
+
 def stratified_gradient(family, theta, loss: DiagramLoss, cfg: StratifiedConfig,
                         rng: np.random.Generator | None = None):
     """Controlled stratified gradient: min-norm over sampled strata
@@ -147,10 +162,7 @@ def stratified_gradient(family, theta, loss: DiagramLoss, cfg: StratifiedConfig,
     eps = cfg.eps
     bound = (1.0 - cfg.beta) / (2.0 * cfg.C)
     while True:
-        pts = sample_strata(family, theta, eps, cfg.m, rng)
-        grads = [vanilla_gradient(family, p, loss)[1] for p in pts]
-        g = min_norm_point(grads)
-        nrm = np.linalg.norm(g)
+        _, _, g, nrm = _sampled_min_norm(family, theta, loss, eps, cfg.m, rng)
         if nrm <= cfg.eta:
             return g.reshape(np.shape(theta)), 0.0
         if eps <= bound * nrm:
@@ -166,10 +178,7 @@ def stratified_gradient_const(family, theta, loss: DiagramLoss, cfg: StratifiedC
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     theta = np.asarray(theta, dtype=float)
-    pts = sample_strata(family, theta, cfg.eps, cfg.m, rng)
-    grads = [vanilla_gradient(family, p, loss)[1] for p in pts]
-    g = min_norm_point(grads)
-    nrm = np.linalg.norm(g)
+    pts, grads, g, nrm = _sampled_min_norm(family, theta, loss, cfg.eps, cfg.m, rng)
     if nrm <= cfg.eta:
         return g.reshape(theta.shape), 0.0
     bound = (1.0 - cfg.beta) / (2.0 * cfg.C)
@@ -458,7 +467,8 @@ def distributed_gradient(family, theta, loss: DiagramLoss, n_sub: int, s: int,
 
 
 class GaussianField:
-    """Radial-basis vector field V(x) = sum_i rho_sigma(||x - c_i||) alpha_i."""
+    """Radial-basis vector field V(x) = sum_i rho_sigma(||x - c_i||) alpha_i;
+    with no centers it is zero everywhere."""
 
     def __init__(self, centers: np.ndarray, alpha: np.ndarray, sigma: float):
         self.centers = centers

@@ -1,4 +1,7 @@
 """Benchmark harness and command-line interface."""
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -133,3 +136,22 @@ def test_cli_distance_missing_file(tmp_path):
         main, ["distance", "--a", str(tmp_path / "no.csv"), "--b", str(tmp_path / "no.csv")]
     )
     assert res.exit_code == 2
+
+
+def test_readme_command_lines_parse(tmp_path, monkeypatch):
+    """Every ``topo-opt ...`` line of the README's command-line block is
+    accepted by the CLI's argument parser (nothing is run)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [shlex.split(l, comments=True) for l in block.splitlines()]
+    lines = [l for l in lines if l and l[0] == "topo-opt"]
+    assert len(lines) >= 4
+    monkeypatch.chdir(tmp_path)  # input files named in the examples exist here
+    for args in lines:
+        for a in args:
+            if a.endswith(".csv"):
+                (tmp_path / a).touch()
+        ctx = main.make_context("topo-opt", args[1:])
+        name, cmd, rest = main.resolve_command(ctx, args[1:])
+        cmd.make_context(name, rest, parent=ctx)

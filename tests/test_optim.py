@@ -5,6 +5,7 @@ import pytest
 from topo_opt.filtrations import RawValues, VietorisRips
 from topo_opt.losses import DiagramLoss, TotalPersistenceLoss
 from topo_opt.optim import (
+    METHODS,
     BoxRegularizer,
     DescentAborted,
     DescentConfig,
@@ -132,6 +133,40 @@ def test_descent_aborted_carries_partial_trace():
         descend(fam, X, ExplodingLoss(), cfg)
     assert len(exc.value.trace) >= 1
     assert not np.isfinite(exc.value.trace.records[-1].loss)
+
+
+def test_descent_aborted_on_non_finite_gradient():
+    class NanGradientLoss(DiagramLoss):
+        dims = (0,)
+
+        def evaluate(self, dgm):
+            return 0.0, {0: np.full_like(dgm.ordinary(0), np.nan)}
+
+    X = circle_cloud(5)
+    fam = VietorisRips(n_points=5, max_dim=1)
+    cfg = DescentConfig(method="vanilla", steps=3, lr=0.01)
+    with pytest.raises(DescentAborted) as exc:
+        descend(fam, X, NanGradientLoss(), cfg)
+    assert len(exc.value.trace) == 1
+    assert not np.isfinite(exc.value.trace.records[-1].grad_norm)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_descends_deterministically(method):
+    X = circle_cloud(6, noise=0.1, seed=1)
+    fam = VietorisRips(n_points=6, max_dim=1)
+    cfg = DescentConfig(
+        method=method, steps=2, lr=0.05, seed=3, n_sub=2, subsample_size=4,
+        continuation_targets={0: np.array([[0.0, 0.2], [0.0, 0.4]])},
+    )
+    loss = TotalPersistenceLoss(dims=(0,))
+    theta1, trace1 = descend(fam, X, loss, cfg)
+    theta2, trace2 = descend(fam, X, loss, cfg)
+    assert len(trace1) == 3
+    assert np.isfinite(theta1).all()
+    assert all(np.isfinite([r.loss, r.grad_norm]).all() for r in trace1.records)
+    assert trace1 == trace2
+    np.testing.assert_array_equal(theta1, theta2)
 
 
 def test_goldstein_check_flags_flat_loss():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topo_opt.filtrations import VietorisRips
-from topo_opt.losses import DistanceToTargetLoss, TotalPersistenceLoss
+from topo_opt.losses import DiagramLoss, DistanceToTargetLoss, TotalPersistenceLoss
 from topo_opt.reduction import build_diagram, reduce
 from topo_opt.schemes import (
     StratifiedConfig,
@@ -85,6 +85,19 @@ def test_stratified_gradient_decreases_loss(rng):
     if alpha > 0:
         v1 = vanilla_gradient(fam, X - alpha * g, loss)[0]
         assert v1 < v0
+
+
+def test_stratified_gradient_rejects_non_finite_gradient():
+    class NanGradientLoss(DiagramLoss):
+        dims = (0,)
+
+        def evaluate(self, dgm):
+            return 0.0, {0: np.full_like(dgm.ordinary(0), np.nan)}
+
+    X = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.2], [-0.8, 0.6], [0.2, -0.9]])
+    fam = VietorisRips(n_points=5, max_dim=1)
+    with pytest.raises(ValueError, match="non-finite"):
+        stratified_gradient(fam, X, NanGradientLoss(), StratifiedConfig(m=2))
 
 
 # ---------------------------------------------------------------------------
