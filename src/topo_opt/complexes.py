@@ -10,6 +10,7 @@ matchings are written in lives here too.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -49,7 +50,13 @@ def is_face(a: Simplex, b: Simplex) -> bool:
 
 
 class SimplicialComplex:
-    """A finite simplicial complex, closed under taking faces."""
+    """A finite simplicial complex, closed under taking faces.
+
+    The (dimension, lexicographic) sort keeps each dimension in one
+    contiguous run, so the dimension, the skeleta and the per-dimension
+    blocks need no scan; blocks and cofaces are computed on first use and
+    kept, the complex being immutable.
+    """
 
     def __init__(self, simplices: Iterable[Simplex], _closed: bool = False):
         if _closed:
@@ -62,6 +69,7 @@ class SimplicialComplex:
                     closed.update(itertools.combinations(s, k))
         self.simplices: list[Simplex] = sorted(closed, key=lambda s: (len(s), s))
         self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
+        self._blocks: list[tuple[int, np.ndarray]] | None = None
         self._cofaces: dict[Simplex, list[Simplex]] | None = None
 
     def __len__(self) -> int:
@@ -75,14 +83,29 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.simplices[-1]) - 1
+
+    def _run(self, p: int) -> tuple[int, int]:
+        """Start and stop of the run of p-simplices."""
+        return (bisect_left(self.simplices, p + 1, key=len),
+                bisect_left(self.simplices, p + 2, key=len))
 
     def skeleton(self, p: int) -> list[Simplex]:
         """All simplices of dimension exactly p."""
-        return [s for s in self.simplices if len(s) == p + 1]
+        start, stop = self._run(p)
+        return self.simplices[start:stop]
 
-    def faces(self, s: Simplex) -> list[Simplex]:
-        return boundary(s)
+    def blocks(self) -> list[tuple[int, np.ndarray]]:
+        """Per dimension p, (start, vertex ids): the p-simplices are
+        positions start, start+1, ... and row r of the (m, p+1) id array
+        holds the vertices of simplex start + r."""
+        if self._blocks is None:
+            self._blocks = []
+            for p in range(self.dim + 1):
+                start, stop = self._run(p)
+                ids = np.asarray(self.simplices[start:stop], dtype=int)
+                self._blocks.append((start, ids))
+        return self._blocks
 
     def cofaces(self, s: Simplex) -> list[Simplex]:
         """Codimension-1 cofaces of s within the complex."""
@@ -176,31 +199,17 @@ class OrderingSignature:
         return hash(self.order)
 
 
-def _tie_break_keys(cx: SimplicialComplex) -> tuple[np.ndarray, np.ndarray]:
-    """Per-simplex (dimension, lexicographic rank) arrays, cached on the
-    complex; the complex is immutable so these never change."""
-    keys = getattr(cx, "_tie_break_keys", None)
-    if keys is None:
-        dims = np.fromiter((len(s) for s in cx.simplices), dtype=np.int64)
-        lex = np.empty(len(cx), dtype=np.int64)
-        for rank, i in enumerate(
-            sorted(range(len(cx)), key=lambda i: cx.simplices[i])
-        ):
-            lex[i] = rank
-        keys = cx._tie_break_keys = (dims, lex)
-    return keys
-
-
 def total_order(filtration: Filtration) -> OrderingSignature:
     """Deterministic total order: by (value, dimension, lexicographic vertices).
 
     Faces always precede cofaces: a face has value <= its coface and
-    strictly smaller dimension, so the key is a valid refinement.
+    strictly smaller dimension, so the key is a valid refinement.  The
+    complex is sorted by (dimension, lexicographic vertices), so a stable
+    sort of the values breaks their ties in exactly that order.
     """
     cx = filtration.complex
     vals = filtration.values
-    dims, lex = _tie_break_keys(cx)
-    order = np.lexsort((lex, dims, vals))
+    order = np.argsort(vals, kind="stable")
     tied = False
     ov = vals[order]
     for k in np.nonzero(ov[1:] == ov[:-1])[0]:

@@ -27,32 +27,17 @@ from .complexes import (
 )
 
 
-def _dim_arrays(cx: SimplicialComplex) -> dict[int, np.ndarray]:
-    """Vertex-id arrays per dimension, row-aligned with the complex order."""
-    out = {}
-    for p in range(cx.dim + 1):
-        sk = cx.skeleton(p)
-        if sk:
-            out[p] = np.asarray(sk, dtype=int)
-    return out
-
-
 def _max_over_pairs(cx: SimplicialComplex, M: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
     """Per-simplex max of M over vertex pairs (vertices get vertex_values)."""
     vals = np.empty(len(cx))
-    arrays = _dim_arrays(cx)
-    offset = 0
-    for p in sorted(arrays):
-        A = arrays[p]
-        m = len(A)
+    for p, (start, A) in enumerate(cx.blocks()):
+        out = vals[start : start + len(A)]  # a view: writes land in vals
         if p == 0:
-            vals[offset : offset + m] = vertex_values[A[:, 0]]
+            out[:] = vertex_values[A[:, 0]]
         else:
-            best = np.full(m, -np.inf)
+            out.fill(-np.inf)
             for a, b in itertools.combinations(range(p + 1), 2):
-                np.maximum(best, M[A[:, a], A[:, b]], out=best)
-            vals[offset : offset + m] = best
-        offset += m
+                np.maximum(out, M[A[:, a], A[:, b]], out=out)
     return vals
 
 
@@ -126,20 +111,14 @@ class VietorisRips(_CompleteFamily):
         M = self._dists(X)
         cx = self.complex
         labels: list = [None] * len(cx)
-        arrays = _dim_arrays(cx)
-        offset = 0
-        for p in sorted(arrays):
-            A = arrays[p]
-            m = len(A)
+        for p, (start, A) in enumerate(cx.blocks()):
             if p > 0:
                 pairs = list(itertools.combinations(range(p + 1), 2))
                 D = np.stack([M[A[:, a], A[:, b]] for a, b in pairs])
                 # first maximizing pair, as in simplex_gradient
-                k = np.argmax(D, axis=0)
-                for r in range(m):
-                    a, b = pairs[k[r]]
-                    labels[offset + r] = (int(A[r, a]), int(A[r, b]))
-            offset += m
+                for r, k in enumerate(np.argmax(D, axis=0)):
+                    a, b = pairs[k]
+                    labels[start + r] = (int(A[r, a]), int(A[r, b]))
         return labels
 
     def subsample(self, indices) -> "VietorisRips":
@@ -234,20 +213,6 @@ class WeightedRips(_CompleteFamily):
         M, _ = self._edge_matrix(X, f)
         vals = _max_over_pairs(self.complex, M, 2 * f)
         return Filtration(self.complex, vals, check=False)
-
-    def case_tag(self, X: np.ndarray, simplex: Simplex) -> str:
-        """Active branch of the max: 'vertex' or 'edge' (with witness ids)."""
-        simplex = tuple(simplex)
-        X = np.asarray(X, dtype=float)
-        f = self.weights.values(X)
-        if len(simplex) == 1:
-            return f"vertex:{simplex[0]}"
-        M, D = self._edge_matrix(X, f)
-        i, j = _witness_pair(simplex, M)
-        if D[i, j] + f[i] + f[j] >= max(2 * f[i], 2 * f[j]):
-            return f"edge:{i},{j}"
-        k = i if f[i] >= f[j] else j
-        return f"vertex:{k}"
 
     def simplex_gradient(self, X: np.ndarray, simplex: Simplex) -> dict:
         simplex = tuple(simplex)

@@ -91,7 +91,6 @@ class DescentConfig:
     n_sub: int = 10
     subsample_size: int = 20
     diffeo_sigma: float = 0.05
-    diffeo_ridge: float = 0.0
     snapshot_steps: tuple[int, ...] = ()
 
     def make_schedule(self):
@@ -147,7 +146,7 @@ def _distributed_step(family, theta, loss, cfg, lr, rng):
 
 def _diffeo_step(family, theta, loss, cfg, lr, rng):
     value, g, _ = vanilla_gradient(family, theta, loss)
-    g = diffeo_interpolate(theta, g, cfg.diffeo_sigma, cfg.diffeo_ridge)(theta)
+    g = diffeo_interpolate(theta, g, cfg.diffeo_sigma)(theta)
     return value, g, lr, None
 
 

@@ -89,7 +89,7 @@ class ReducedDecomposition:
     """Reduced decomposition of a filtration's boundary matrix."""
 
     def __init__(self, filtration: Filtration, with_basis: bool = True):
-        cx = filtration.complex
+        cx = self.complex = filtration.complex
         sig = total_order(filtration)
         self.simplices: list[Simplex] = [cx.simplices[i] for i in sig.order]
         self.values: np.ndarray = filtration.values[list(sig.order)].copy()
@@ -343,11 +343,8 @@ def perp_basis(dec: ReducedDecomposition):
     at position n-1-a of the decomposition.
     """
     n = len(dec.simplices)
-    cof: list[list[int]] = [[] for _ in range(n)]
-    for c, s in enumerate(dec.simplices):
-        for f in boundary(s):
-            cof[dec.pos[f]].append(c)
-    cols = [{n - 1 - c for c in cof[n - 1 - a]} for a in range(n)]
+    cols = [{n - 1 - dec.pos[c] for c in dec.complex.cofaces(s)}
+            for s in reversed(dec.simplices)]
     _, Vp, Up, _ = _reduce_columns(cols, with_basis=True)
     return Vp, Up
 

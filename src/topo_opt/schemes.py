@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, Simplex, boundary, build_complex, is_face
+from .complexes import Filtration, Simplex, boundary, build_complex
 from .filtrations import strata_signature
 from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
 from .metrics import fg_distance
@@ -134,6 +134,14 @@ class StratifiedConfig:
     eta: float = 1e-8
     seed: int = 0
 
+    def __post_init__(self):
+        for name, ok in (("eps", self.eps > 0), ("beta", 0 < self.beta < 1),
+                         ("C", self.C > 0), ("shrink", 0 < self.shrink < 1),
+                         ("eta", self.eta > 0)):
+            if not ok:
+                raise ValueError(
+                    f"StratifiedConfig.{name} out of range: {getattr(self, name)!r}")
+
 
 def _sampled_min_norm(family, theta, loss: DiagramLoss, eps: float, m: int,
                       rng: np.random.Generator):
@@ -161,6 +169,9 @@ def stratified_gradient(family, theta, loss: DiagramLoss, cfg: StratifiedConfig,
         rng = np.random.default_rng(cfg.seed)
     eps = cfg.eps
     bound = (1.0 - cfg.beta) / (2.0 * cfg.C)
+    # a pass that does not return has eps > bound * ||g|| > bound * eta, and
+    # eps shrinks geometrically, so the loop ends within
+    # max(0, ceil(log(cfg.eps / (bound * eta)) / log(1 / shrink))) + 1 passes
     while True:
         _, _, g, nrm = _sampled_min_norm(family, theta, loss, eps, cfg.m, rng)
         if nrm <= cfg.eta:
@@ -212,11 +223,7 @@ def _clip_target(dec: ReducedDecomposition, tau: Simplex, t: float) -> float:
             )
             return bound
     elif t > v:
-        cof_vals = [
-            dec.values[q]
-            for q, s in enumerate(dec.simplices)
-            if len(s) == len(tau) + 1 and is_face(tau, s)
-        ]
+        cof_vals = [dec.value_of(c) for c in dec.complex.cofaces(tau)]
         if cof_vals and t > min(cof_vals):
             bound = float(min(cof_vals))
             warnings.warn(

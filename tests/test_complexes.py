@@ -1,6 +1,4 @@
 """Complex construction, boundaries, orders, and the text format."""
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +7,7 @@ from hypothesis import strategies as st
 from topo_opt import build_complex, complete_complex, triangulated_torus
 from topo_opt.complexes import (
     Filtration,
-    OrderingSignature,
     boundary,
-    is_face,
     read_complex,
     total_order,
     write_complex,
@@ -67,6 +63,23 @@ def test_closure_idempotent(sims):
     cx = build_complex(sims)
     cx2 = build_complex(cx.simplices)
     assert cx.simplices == cx2.simplices
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8))
+def test_dim_skeleton_and_blocks_match_a_scan(sims):
+    cx = build_complex(sims)
+    assert cx.dim == max(len(s) for s in cx.simplices) - 1
+    for p in range(-1, cx.dim + 2):
+        assert cx.skeleton(p) == [s for s in cx.simplices if len(s) == p + 1]
+    blocks = cx.blocks()
+    assert len(blocks) == cx.dim + 1
+    for p, (start, ids) in enumerate(blocks):
+        rows = [i for i, s in enumerate(cx.simplices) if len(s) == p + 1]
+        assert rows == list(range(start, start + len(ids)))
+        assert ids.shape == (len(rows), p + 1)
+        assert [tuple(int(v) for v in r) for r in ids] == [cx.simplices[i] for i in rows]
+    assert cx.blocks() is blocks
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,7 +17,6 @@ from topo_opt.experiments import (
 )
 from topo_opt.filtrations import VietorisRips
 from topo_opt.reduction import build_diagram, write_diagram
-from topo_opt.schemes import vanilla_gradient
 
 
 def test_gen_circle_shape_and_determinism():

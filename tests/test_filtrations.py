@@ -1,9 +1,10 @@
 """Filtration families: values, witnesses, gradients, and the cloud format."""
 import itertools
-import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo_opt import build_complex
 from topo_opt.complexes import Filtration, boundary
@@ -20,6 +21,8 @@ from topo_opt.filtrations import (
     strata_signature,
     write_cloud,
 )
+from topo_opt.metrics import bottleneck_distance
+from topo_opt.reduction import build_diagram
 
 
 def fd_simplex_value(family, X, simplex, h=1e-6):
@@ -110,6 +113,55 @@ def test_vr_isometry_invariance(rng):
     np.testing.assert_allclose(
         fam.filtration(X).values, fam.filtration(X @ R.T + 3.0).values, atol=1e-12
     )
+
+
+def _clouds(n):
+    """n planar points in [-1, 1]^2, rounded to one decimal half of the time
+    so that exact distance ties occur."""
+    coords = st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)
+
+    def cloud(coords, rounded):
+        X = np.reshape(coords, (n, 2))
+        return np.round(X, 1) if rounded else X
+
+    return st.builds(cloud, coords, st.booleans())
+
+
+def _vr_points(X):
+    """Per dimension, the positive-persistence ordinary points (row-sorted)
+    and the essential births (sorted) of the VR diagram of X."""
+    dgm = build_diagram(VietorisRips(len(X), 2).filtration(X))
+    out = {}
+    for dim in dgm.dims():
+        pts = dgm.ordinary(dim)
+        pts = pts[pts[:, 1] > pts[:, 0]]
+        out[dim] = (pts[np.lexsort((pts[:, 1], pts[:, 0]))],
+                    np.sort(dgm.essential.get(dim, np.empty(0))))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 8).flatmap(
+    lambda n: st.tuples(_clouds(n), st.permutations(range(n)))))
+def test_vr_diagram_invariant_under_point_permutation(case):
+    X, perm = case
+    a, b = _vr_points(X), _vr_points(X[list(perm)])
+    assert a.keys() == b.keys()
+    for dim in a:
+        for u, v in zip(a[dim], b[dim]):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(_clouds(n), _clouds(n))))
+def test_vr_bottleneck_at_most_largest_displacement(case):
+    X, Y = case
+    fam = VietorisRips(len(X), 2)
+    dx, dy = build_diagram(fam.filtration(X)), build_diagram(fam.filtration(Y))
+    bound = np.linalg.norm(X - Y, axis=1).max() + 1e-12
+    for dim in (0, 1):
+        d, _ = bottleneck_distance(dx.ordinary(dim), dy.ordinary(dim))
+        assert d <= bound
 
 
 # -- weighted Rips ----------------------------------------------------------

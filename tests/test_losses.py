@@ -9,7 +9,6 @@ from topo_opt.losses import (
     EmptyDiagramDistanceLoss,
     LinearVectorizationLoss,
     SimplificationLoss,
-    SingletonLoss,
     TotalPersistenceLoss,
     compose_gradient,
     distance_to_target,

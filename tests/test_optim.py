@@ -18,7 +18,6 @@ from topo_opt.optim import (
     read_trace,
     write_trace,
 )
-from topo_opt.reduction import build_diagram
 
 
 def circle_cloud(n=10, noise=0.0, seed=0):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from topo_opt import build_complex, triangulated_torus
-from topo_opt.complexes import Filtration, boundary, total_order
+from topo_opt.complexes import Filtration, boundary
 from topo_opt.reduction import (
     betti_numbers,
     build_diagram,
@@ -150,6 +150,12 @@ def test_transpose_is_involution(rng):
     transpose_adjacent(dec, i)
     transpose_adjacent(dec, i)
     assert dec.pairing().pairs == before.pairs
+
+
+def test_decomposition_keeps_its_filtration_complex(rng):
+    f = random_filtration(rng)
+    assert reduce(f).complex is f.complex
+    assert reduce(f, with_basis=False).complex is f.complex
 
 
 def test_perp_basis_inverts_antitransposed_boundary(rng):

@@ -100,6 +100,18 @@ def test_stratified_gradient_rejects_non_finite_gradient():
         stratified_gradient(fam, X, NanGradientLoss(), StratifiedConfig(m=2))
 
 
+@pytest.mark.parametrize("name,value", [
+    ("eps", 0.0), ("eps", -1e-2), ("beta", 0.0), ("beta", 1.0), ("beta", 1.5),
+    ("C", 0.0), ("C", -1.0), ("shrink", 0.0), ("shrink", 1.0), ("eta", 0.0),
+    ("eps", float("nan")),
+])
+def test_stratified_config_rejects_out_of_range(name, value):
+    # beta = 1 would make the eps-shrink bound zero (a false stationarity)
+    # and shrink = 1 would never shrink eps (an endless loop)
+    with pytest.raises(ValueError, match=rf"StratifiedConfig\.{name} "):
+        StratifiedConfig(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # moving sets
 
