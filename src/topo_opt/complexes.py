@@ -54,8 +54,8 @@ class SimplicialComplex:
 
     The (dimension, lexicographic) sort keeps each dimension in one
     contiguous run, so the dimension, the skeleta and the per-dimension
-    blocks need no scan; blocks and cofaces are computed on first use and
-    kept, the complex being immutable.
+    blocks need no scan; blocks and coboundaries are computed on first use
+    and kept, the complex being immutable.
     """
 
     def __init__(self, simplices: Iterable[Simplex], _closed: bool = False):
@@ -70,7 +70,7 @@ class SimplicialComplex:
         self.simplices: list[Simplex] = sorted(closed, key=lambda s: (len(s), s))
         self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
         self._blocks: list[tuple[int, np.ndarray]] | None = None
-        self._cofaces: dict[Simplex, list[Simplex]] | None = None
+        self._coboundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -107,15 +107,40 @@ class SimplicialComplex:
                 self._blocks.append((start, ids))
         return self._blocks
 
+    def coboundary(self, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """The (p+1)-cofaces of the p-simplices in compressed-row form
+        (indptr, indices), for p < dim: the cofaces of the p-simplex at
+        position start + r are the positions indices[indptr[r]:indptr[r+1]],
+        in increasing order."""
+        if p not in self._coboundary:
+            blocks = self.blocks()
+            (_, A), (start1, B) = blocks[p], blocks[p + 1]
+            # a row of vertex ranks read as a number in base n_vertices: within
+            # one dimension, lexicographic order is numeric order of the codes
+            vertex_ids = blocks[0][1][:, 0]
+            base = len(vertex_ids)
+            dtype = np.int64 if base ** (p + 1) < 2**63 else object
+            weights = np.array([base**k for k in range(p, -1, -1)], dtype=dtype)
+            codes = np.searchsorted(vertex_ids, A).astype(dtype) @ weights
+            ranks = np.searchsorted(vertex_ids, B).astype(dtype)
+            # faces[t, k]: row in A of coface t with its k-th vertex removed
+            faces = np.stack(
+                [np.searchsorted(codes, np.delete(ranks, k, axis=1) @ weights)
+                 for k in range(p + 2)], axis=1).ravel()
+            owners = np.repeat(np.arange(start1, start1 + len(B)), p + 2)
+            indptr = np.zeros(len(A) + 1, dtype=np.intp)
+            np.cumsum(np.bincount(faces, minlength=len(A)), out=indptr[1:])
+            self._coboundary[p] = (indptr, owners[np.argsort(faces, kind="stable")])
+        return self._coboundary[p]
+
     def cofaces(self, s: Simplex) -> list[Simplex]:
         """Codimension-1 cofaces of s within the complex."""
-        if self._cofaces is None:
-            cof: dict[Simplex, list[Simplex]] = {t: [] for t in self.simplices}
-            for t in self.simplices:
-                for f in boundary(t):
-                    cof[f].append(t)
-            self._cofaces = cof
-        return self._cofaces[s]
+        i, p = self.index[s], len(s) - 1
+        if p >= self.dim:
+            return []
+        indptr, indices = self.coboundary(p)
+        r = i - self.blocks()[p][0]
+        return [self.simplices[j] for j in indices[indptr[r]:indptr[r + 1]].tolist()]
 
     def n_vertices(self) -> int:
         return len(self.skeleton(0))
@@ -217,7 +242,7 @@ def total_order(filtration: Filtration) -> OrderingSignature:
         if not (is_face(sa, sb) or is_face(sb, sa)):
             tied = True
             break
-    return OrderingSignature(tuple(int(i) for i in order), tied)
+    return OrderingSignature(tuple(order.tolist()), tied)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ deterministic witness so the map is piecewise differentiable.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import warnings
 
@@ -57,15 +58,28 @@ class _CompleteFamily:
     def __init__(self, n_points: int, max_dim: int):
         self.n_points = n_points
         self.max_dim = max_dim
-        self._complex = None
+        # complete complexes by vertex count, shared with every subsample
+        self._complexes: dict[int, SimplicialComplex] = {}
 
     @property
     def complex(self):
         # built on first use: subsample-only workflows on large clouds never
         # need the full complete complex
-        if self._complex is None:
-            self._complex = complete_complex(self.n_points, self.max_dim)
-        return self._complex
+        cx = self._complexes.get(self.n_points)
+        if cx is None:
+            cx = self._complexes[self.n_points] = complete_complex(
+                self.n_points, self.max_dim)
+        return cx
+
+    def subsample(self, indices):
+        """The same family on the points at ``indices`` (constant weights
+        are sliced to them); subsamples of one size share one complex."""
+        sub = copy.copy(self)
+        sub.n_points = len(indices)
+        w = getattr(self, "weights", None)
+        if isinstance(w, ConstantWeights):
+            sub.weights = ConstantWeights(w.w[list(indices)])
+        return sub
 
     @staticmethod
     def _dists(X: np.ndarray) -> np.ndarray:
@@ -120,9 +134,6 @@ class VietorisRips(_CompleteFamily):
                     a, b = pairs[k]
                     labels[start + r] = (int(A[r, a]), int(A[r, b]))
         return labels
-
-    def subsample(self, indices) -> "VietorisRips":
-        return VietorisRips(len(indices), self.max_dim)
 
 
 class ConstantWeights:
@@ -231,12 +242,6 @@ class WeightedRips(_CompleteFamily):
             return g
         k = i if f[i] >= f[j] else j
         return _scale_sparse(self.weights.gradient(X, k), 2.0)
-
-    def subsample(self, indices) -> "WeightedRips":
-        w = self.weights
-        if isinstance(w, ConstantWeights):
-            w = ConstantWeights(w.w[list(indices)])
-        return WeightedRips(len(indices), self.max_dim, w)
 
 
 def _add_sparse(a: dict, b: dict) -> dict:

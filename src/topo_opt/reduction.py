@@ -1,10 +1,17 @@
 """Boundary-matrix reduction, persistence pairing, and transposition updates.
 
-The decomposition maintained is R = D * V over F2 with R reduced (distinct
-lowest ones), V upper-triangular invertible, and U = V^{-1}.  Columns of R
-and V are stored as sets of row indices; U is stored row-major.  Row/column
-duals are built lazily so that an adjacent transposition costs time
-proportional to the local degree rather than the matrix size.
+There are two paths, both on one column reducer (``_reduce_columns``):
+
+- Homology with a basis (``reduce``): R = D * V over F2 with R reduced
+  (distinct lowest ones), V upper-triangular invertible, and U = V^{-1}.
+  Columns of R and V are stored as sets of row indices; U is stored
+  row-major.  Row/column duals are built lazily so that an adjacent
+  transposition costs time proportional to the local degree rather than
+  the matrix size.  Vineyard updates and moving sets need it.
+- Pairing only (``persistence_pairs``, and through it ``build_diagram``
+  and ``betti_numbers``): cohomology with clearing, which reduces the
+  coboundary matrix one dimension at a time and skips the columns already
+  known to be paired.  It yields the same pairing as ``reduce(...).pairing()``.
 """
 from __future__ import annotations
 
@@ -60,7 +67,9 @@ class PersistenceDiagram:
 
 
 def _reduce_columns(cols: list[set[int]], with_basis: bool):
-    """Left-to-right reduction of the given F2 columns.
+    """Left-to-right reduction of the given F2 columns (boundary columns for
+    ``reduce``, anti-transposed coboundary columns for ``perp_basis`` and
+    ``persistence_pairs``).
 
     Returns (R, V, U, pivot) with V as columns, U as rows (V and U are None
     when with_basis is False), pivot mapping lowest-one row -> column.
@@ -290,9 +299,61 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
     return dec
 
 
+def _by_dim(indices: np.ndarray, dim_of: np.ndarray):
+    """Split an index array by simplex dimension, keeping the order within
+    each part; dimensions come in order of first appearance."""
+    dims = dim_of[indices]
+    _, first = np.unique(dims, return_index=True)
+    for k in np.sort(first):
+        yield int(dims[k]), indices[dims == dims[k]]
+
+
 def persistence_pairs(filtration: Filtration) -> PersistencePairing:
-    """Compute the persistence pairing of a filtration."""
-    return reduce(filtration, with_basis=False).pairing()
+    """Persistence pairing of a filtration, by cohomology with clearing.
+
+    The coboundary matrix is reduced one dimension at a time, lowest first.
+    The columns of dimension p are the p-simplices in reverse filtration
+    order; a column holds the anti-indices n-1-position of the simplex's
+    (p+1)-cofaces, so its pivot is the earliest coface.  A p-simplex that
+    died at dimension p-1 is skipped (cleared): its column would reduce to
+    zero.  A column left nonzero pairs its simplex (birth) with its pivot
+    coface (death); top-dimensional simplices have no columns, and a simplex
+    that is neither birth nor death is unpaired.  The pairing is that of
+    the boundary-matrix reduction (de Silva, Morozov and Vejdemo-Johansson,
+    Dualities in persistent (co)homology, 2011), listed in the same order:
+    pairs by birth position, unpaired simplices in filtration order.
+    """
+    cx = filtration.complex
+    n = len(cx)
+    order = np.asarray(total_order(filtration).order, dtype=np.intp)
+    pos = np.empty(n, dtype=np.intp)
+    pos[order] = np.arange(n)
+    anti = n - 1 - pos
+    partner = np.full(n, -1, dtype=np.intp)
+    blocks = cx.blocks()
+    for p in range(len(blocks) - 1):
+        start, ids = blocks[p]
+        indptr, cofaces = cx.coboundary(p)
+        ptr, entries = indptr.tolist(), anti[cofaces].tolist()
+        rows = np.argsort(pos[start:start + len(ids)])[::-1]
+        rows = rows[partner[start + rows] < 0]
+        cols = [set(entries[ptr[r]:ptr[r + 1]]) for r in rows.tolist()]
+        _, _, _, pivot = _reduce_columns(cols, with_basis=False)
+        births = start + rows[np.fromiter(pivot.values(), np.intp, len(pivot))]
+        deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
+        partner[births] = deaths
+        partner[deaths] = births
+
+    S = cx.simplices
+    dim_of = np.repeat(np.arange(len(blocks)), [len(ids) for _, ids in blocks])
+    paired = partner[order] >= 0
+    in_order = order[paired]
+    births = in_order[pos[in_order] < pos[partner[in_order]]]
+    pairs = {p: [(S[b], S[d]) for b, d in zip(bs.tolist(), partner[bs].tolist())]
+             for p, bs in _by_dim(births, dim_of)}
+    unpaired = {p: [S[i] for i in us.tolist()]
+                for p, us in _by_dim(order[~paired], dim_of)}
+    return PersistencePairing(pairs, unpaired)
 
 
 def build_diagram(
@@ -308,21 +369,28 @@ def build_diagram(
     """
     if pairing is None:
         pairing = persistence_pairs(filtration)
+    index = filtration.complex.index
+
+    def values_of(simplices):
+        at = np.fromiter(map(index.__getitem__, simplices), np.intp, len(simplices))
+        return filtration.values[at]
+
     points: dict[int, np.ndarray] = {}
     essential: dict[int, np.ndarray] = {}
     pairs: dict[int, list] = {}
     ess_s: dict[int, list] = {}
     for dim, plist in pairing.pairs.items():
-        rows, kept = [], []
-        for b, d in plist:
-            bv, dv = filtration.value(b), filtration.value(d)
-            if drop_zero_tol <= 0.0 or dv - bv > drop_zero_tol:
-                rows.append((bv, dv))
-                kept.append((b, d))
-        points[dim] = np.asarray(rows, dtype=float).reshape(len(rows), 2)
+        bv = values_of([b for b, _ in plist])
+        dv = values_of([d for _, d in plist])
+        kept = list(plist)
+        if drop_zero_tol > 0.0:
+            keep = np.flatnonzero(dv - bv > drop_zero_tol)
+            bv, dv = bv[keep], dv[keep]
+            kept = [kept[k] for k in keep.tolist()]
+        points[dim] = np.column_stack([bv, dv])
         pairs[dim] = kept
     for dim, slist in pairing.unpaired.items():
-        essential[dim] = np.asarray([filtration.value(s) for s in slist])
+        essential[dim] = values_of(slist)
         ess_s[dim] = list(slist)
     return PersistenceDiagram(points, essential, pairs, ess_s)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, Simplex, boundary, build_complex
+from .complexes import Filtration, Simplex, boundary
 from .filtrations import strata_signature
 from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
 from .metrics import fg_distance
@@ -256,7 +256,7 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
 
     scratch = getattr(dec, "_dim_sorted_scratch", None)
     if scratch is None:
-        cx = build_complex(dec.simplices)
+        cx = dec.complex
         ranks = sorted(range(len(dec.simplices)),
                        key=lambda q: (len(dec.simplices[q]), q))
         vals = np.empty(len(ranks))

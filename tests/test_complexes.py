@@ -82,6 +82,25 @@ def test_dim_skeleton_and_blocks_match_a_scan(sims):
     assert cx.blocks() is blocks
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8))
+def test_cofaces_match_a_scan(sims):
+    cx = build_complex(sims)
+    for s in cx.simplices:
+        assert cx.cofaces(s) == [t for t in cx.simplices
+                                 if len(t) == len(s) + 1 and set(s) <= set(t)]
+
+
+def test_cofaces_beyond_int64_codes():
+    # 55,110 ** 4 > 2**63: the tetrahedron codes no longer fit in int64
+    n = 55_110
+    cx = build_complex([[v] for v in range(n)] + [[0, 1, 2, 3, n - 1]])
+    assert cx.cofaces((0, 1, 2, n - 1)) == [(0, 1, 2, 3, n - 1)]
+    assert cx.cofaces((0, 2, 3, n - 1)) == [(0, 1, 2, 3, n - 1)]
+    assert cx.cofaces((1, 2)) == [(0, 1, 2), (1, 2, 3), (1, 2, n - 1)]
+    assert cx.cofaces((5,)) == []
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_total_order_faces_precede_cofaces(seed):

@@ -195,6 +195,26 @@ def test_weighted_rips_gradient_matches_fd(rng):
             )
 
 
+def test_subsamples_share_one_complex_per_size(rng):
+    X = rng.normal(size=(9, 2))
+    for fam in (VietorisRips(9, 2), WeightedRips(9, 2, ConstantWeights(rng.uniform(size=9))),
+                WeightedRips(9, 2, DTMWeights(2))):
+        a, b, c = fam.subsample([0, 2, 5]), fam.subsample([1, 3, 8]), fam.subsample([4, 6])
+        assert type(a) is type(fam) and a.max_dim == fam.max_dim
+        assert a.complex is b.complex and len(c.complex) == 3
+        fresh = VietorisRips(3, 2).complex
+        assert a.complex.simplices == fresh.simplices
+        idx = [1, 3, 8]
+        if isinstance(fam, WeightedRips):
+            w = fam.weights
+            if isinstance(w, ConstantWeights):
+                w = ConstantWeights(w.w[idx])
+            want = WeightedRips(3, 2, w).filtration(X[idx]).values
+        else:
+            want = VietorisRips(3, 2).filtration(X[idx]).values
+        np.testing.assert_array_equal(b.filtration(X[idx]).values, want)
+
+
 def test_dtm_weights_brute_force(rng):
     X = rng.normal(size=(6, 2))
     k = 2

@@ -1,9 +1,12 @@
 """Reduction invariants, the pairing oracle, transpositions, diagram IO."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import Filtration, boundary
+from topo_opt.filtrations import VietorisRips
 from topo_opt.reduction import (
     betti_numbers,
     build_diagram,
@@ -69,26 +72,90 @@ def test_decomposition_invariants_random(rng):
         check_decomposition(reduce(f))
 
 
-def test_pairing_matches_sublevel_rank_oracle(rng):
+def assert_matches_sublevel_rank_oracle(f, pairing):
     """Betti numbers at every threshold derived from the pairing must match
     an independent F2-rank computation on the sublevel complex."""
+    for t in np.unique(f.values):
+        expected = sublevel_betti(f, t)
+        for p, beta in expected.items():
+            got = sum(
+                1
+                for b, d in pairing.pairs.get(p, [])
+                if f.value(b) <= t < f.value(d)
+            )
+            got += sum(
+                1 for b in pairing.unpaired.get(p, []) if f.value(b) <= t
+            )
+            assert got == beta, (p, t)
+
+
+def test_pairing_matches_sublevel_rank_oracle(rng):
     for _ in range(25):
         f = random_filtration(rng, n_vertices=5)
-        dec = reduce(f, with_basis=False)
-        pairing = dec.pairing()
-        thresholds = np.unique(f.values)
-        for t in thresholds:
-            expected = sublevel_betti(f, t)
-            for p, beta in expected.items():
-                got = sum(
-                    1
-                    for b, d in pairing.pairs.get(p, [])
-                    if f.value(b) <= t < f.value(d)
-                )
-                got += sum(
-                    1 for b in pairing.unpaired.get(p, []) if f.value(b) <= t
-                )
-                assert got == beta, (p, t)
+        assert_matches_sublevel_rank_oracle(f, reduce(f, with_basis=False).pairing())
+
+
+def test_persistence_pairs_matches_sublevel_rank_oracle(rng):
+    for _ in range(25):
+        f = random_filtration(rng, n_vertices=5)
+        assert_matches_sublevel_rank_oracle(f, persistence_pairs(f))
+
+
+def assert_same_pairing(f):
+    """The cohomology pairing equals the boundary-matrix reduction's, in
+    list order and dimension order too."""
+    got, want = persistence_pairs(f), reduce(f, with_basis=False).pairing()
+    assert got.pairs == want.pairs
+    assert got.unpaired == want.unpaired
+    assert list(got.pairs) == list(want.pairs)
+    assert list(got.unpaired) == list(want.unpaired)
+
+
+def assert_diagram_reads_the_pairing(f, drop_zero_tol):
+    """build_diagram's rows are the filtration values of the pairing's
+    simplices, one by one, with the zero-persistence filter applied."""
+    pairing = persistence_pairs(f)
+    dgm = build_diagram(f, pairing, drop_zero_tol=drop_zero_tol)
+    assert list(dgm.points) == list(pairing.pairs)
+    for dim, plist in pairing.pairs.items():
+        rows = [(f.value(b), f.value(d)) for b, d in plist]
+        keep = [k for k, (bv, dv) in enumerate(rows)
+                if drop_zero_tol <= 0.0 or dv - bv > drop_zero_tol]
+        assert dgm.pairs[dim] == [plist[k] for k in keep]
+        want = np.asarray([rows[k] for k in keep], dtype=float).reshape(len(keep), 2)
+        assert dgm.points[dim].tobytes() == want.tobytes()
+        assert dgm.points[dim].shape == want.shape
+    for dim, slist in pairing.unpaired.items():
+        assert dgm.essential_simplices[dim] == slist
+        assert dgm.essential[dim].tobytes() == np.asarray([f.value(s) for s in slist]).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.booleans())
+def test_persistence_pairs_equals_reduction_on_random_filtrations(seed, n_vertices, zero):
+    f = random_filtration(np.random.default_rng(seed), n_vertices=n_vertices)
+    if zero:
+        f = Filtration(f.complex, np.zeros(len(f)))
+    assert_same_pairing(f)
+
+
+def test_persistence_pairs_equals_reduction_on_zero_torus():
+    cx = triangulated_torus()
+    assert_same_pairing(Filtration(cx, np.zeros(len(cx))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)),
+    st.sampled_from([1, 2, 3]))
+def test_persistence_pairs_equals_reduction_on_tied_vr(coords, max_dim):
+    # one decimal: many edges and triangles tie; max_dim=3 makes clearing
+    # skip triangle columns as well as edge columns
+    X = np.round(np.reshape(coords, (-1, 2)), 1)
+    f = VietorisRips(len(X), max_dim).filtration(X)
+    assert_same_pairing(f)
+    for tol in (0.0, 1e-12, 0.1):
+        assert_diagram_reads_the_pairing(f, tol)
 
 
 def test_pairing_invariant_under_monotone_rescaling(rng):

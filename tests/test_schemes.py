@@ -7,7 +7,7 @@ import pytest
 
 from topo_opt.filtrations import VietorisRips
 from topo_opt.losses import DiagramLoss, DistanceToTargetLoss, TotalPersistenceLoss
-from topo_opt.reduction import build_diagram, reduce
+from topo_opt.reduction import ReducedDecomposition, betti_numbers, build_diagram, reduce
 from topo_opt.schemes import (
     StratifiedConfig,
     big_step_gradient,
@@ -243,6 +243,22 @@ def test_continuation_moves_toward_target(rng):
     theta, _ = continuation_step(fam, X, {0: target}, gamma=0.5)
     dgm1 = build_diagram(fam.filtration(theta), drop_zero_tol=1e-12)
     assert loss.evaluate(dgm1)[0] < v0
+
+
+def test_pairing_only_callers_build_no_decomposition(monkeypatch, rng):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a pairing-only caller reduced the boundary matrix")
+
+    monkeypatch.setattr(ReducedDecomposition, "__init__", refuse)
+    f = random_filtration(rng)
+    with pytest.raises(AssertionError):
+        reduce(f, with_basis=False)
+    build_diagram(f)
+    betti_numbers(f)
+    X = rng.normal(size=(7, 2))
+    value, g, _ = vanilla_gradient(VietorisRips(7, max_dim=2), X,
+                                   TotalPersistenceLoss(dims=(0, 1)))
+    assert np.isfinite(value) and np.isfinite(g).all()
 
 
 # ---------------------------------------------------------------------------
