@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -232,17 +232,23 @@ def total_order(filtration: Filtration) -> OrderingSignature:
     complex is sorted by (dimension, lexicographic vertices), so a stable
     sort of the values breaks their ties in exactly that order.
     """
-    cx = filtration.complex
-    vals = filtration.values
-    order = np.argsort(vals, kind="stable")
-    tied = False
-    ov = vals[order]
-    for k in np.nonzero(ov[1:] == ov[:-1])[0]:
-        sa, sb = cx.simplices[order[k]], cx.simplices[order[k + 1]]
-        if not (is_face(sa, sb) or is_face(sb, sa)):
-            tied = True
-            break
+    order = np.argsort(filtration.values, kind="stable")
+    tied = next(_free_ties(filtration, order), None) is not None
     return OrderingSignature(tuple(order.tolist()), tied)
+
+
+def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
+    """Simplex indices (a, b) adjacent in the total order ``order`` whose
+    values are equal and neither of which is a face of the other, lazily and
+    in order: the candidate stratum boundaries."""
+    simplices = filtration.complex.simplices
+    order = np.asarray(order)
+    ov = filtration.values[order]
+    for k in np.nonzero(ov[1:] == ov[:-1])[0]:
+        a, b = int(order[k]), int(order[k + 1])
+        sa, sb = simplices[a], simplices[b]
+        if not (is_face(sa, sb) or is_face(sb, sa)):
+            yield a, b
 
 
 # ---------------------------------------------------------------------------

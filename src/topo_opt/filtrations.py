@@ -20,8 +20,8 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     boundary,
+    _free_ties,
     complete_complex,
-    is_face,
     read_table,
     total_order,
     write_table,
@@ -115,25 +115,6 @@ class VietorisRips(_CompleteFamily):
         i, j = wit
         g = (X[i] - X[j]) / (2.0 * best)
         return {i: g, j: -g}
-
-    def tie_labels(self, X: np.ndarray) -> list:
-        """Gradient-equality classes for tie detection: each simplex is
-        labelled by its witness pair (all vertices share the zero-gradient
-        label), so two tied simplices separate under perturbation exactly
-        when their labels differ."""
-        X = np.asarray(X, dtype=float)
-        M = self._dists(X)
-        cx = self.complex
-        labels: list = [None] * len(cx)
-        for p, (start, A) in enumerate(cx.blocks()):
-            if p > 0:
-                pairs = list(itertools.combinations(range(p + 1), 2))
-                D = np.stack([M[A[:, a], A[:, b]] for a, b in pairs])
-                # first maximizing pair, as in simplex_gradient
-                for r, k in enumerate(np.argmax(D, axis=0)):
-                    a, b = pairs[k]
-                    labels[start + r] = (int(A[r, a]), int(A[r, b]))
-        return labels
 
 
 class ConstantWeights:
@@ -287,7 +268,8 @@ class LowerStar:
 class HeightFiltration:
     """Lower-star of the height function x -> <x, theta> on fixed positions.
 
-    theta is normalized to unit length (with a warning when it is not).
+    theta is normalized to unit length (with a warning when it is not; a
+    zero or non-finite theta is a ValueError).
     The gradient with respect to theta is the witness position projected
     onto the tangent space of the sphere, (I - theta theta^T) x_w.
     """
@@ -300,6 +282,8 @@ class HeightFiltration:
     def _unit(self, theta):
         theta = np.asarray(theta, dtype=float)
         nrm = np.linalg.norm(theta)
+        if not (np.isfinite(nrm) and nrm > 0):
+            raise ValueError(f"height direction {theta.tolist()} is zero or not finite")
         if abs(nrm - 1.0) > 1e-12:
             warnings.warn("height direction is not unit length; normalizing")
             theta = theta / nrm
@@ -346,41 +330,19 @@ def strata_signature(family, theta) -> OrderingSignature:
     sig = total_order(filt)
     if not sig.tied:
         return sig
-
-    def same_gradient(ga, gb):
-        if ga.keys() != gb.keys():
-            return False
-        return all(
-            np.array_equal(ga[k], gb[k]) or np.allclose(ga[k], gb[k])
-            for k in ga
-        )
-
-    cx = filt.complex
-    vals = filt.values
-    order = sig.order
-    labels = family.tie_labels(theta) if hasattr(family, "tie_labels") else None
-    grad_cache: dict[int, dict] = {}
+    grads: dict[int, dict] = {}
 
     def grad(q):
-        g = grad_cache.get(q)
-        if g is None:
-            g = grad_cache[q] = family.simplex_gradient(theta, cx.simplices[q])
-        return g
+        if q not in grads:
+            grads[q] = family.simplex_gradient(theta, filt.complex.simplices[q])
+        return grads[q]
 
-    tied = False
-    for a, b in zip(order, order[1:]):
-        if vals[a] != vals[b]:
-            continue
-        sa, sb = cx.simplices[a], cx.simplices[b]
-        if is_face(sa, sb) or is_face(sb, sa):
-            continue
-        if labels is not None:
-            if labels[a] != labels[b]:
-                tied = True
-                break
-        elif not same_gradient(grad(a), grad(b)):
-            tied = True
-            break
+    def same_gradient(ga, gb):
+        return ga.keys() == gb.keys() and all(
+            np.array_equal(ga[k], gb[k]) or np.allclose(ga[k], gb[k]) for k in ga)
+
+    tied = any(not same_gradient(grad(a), grad(b))
+               for a, b in _free_ties(filt, sig.order))
     return OrderingSignature(sig.order, tied)
 
 

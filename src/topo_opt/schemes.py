@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, Simplex, boundary
-from .filtrations import strata_signature
+from .complexes import Filtration, Simplex, boundary, total_order
 from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
 from .metrics import fg_distance
 from .reduction import (
@@ -44,11 +43,11 @@ def vanilla_gradient(family, theta, loss: DiagramLoss):
 
 
 def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
-    """Sample up to m parameter points with pairwise-distinct ordering
-    signatures from the eps-ball around theta (theta's own stratum is always
+    """Sample up to m parameter points with pairwise-distinct total simplex
+    orders from the eps-ball around theta (theta's own stratum is always
     included first).  Rejection sampling is capped at 20*m draws."""
     theta = np.asarray(theta, dtype=float)
-    seen = {strata_signature(family, theta)}
+    seen = {total_order(family.filtration(theta))}
     out = [theta.copy()]
     draws = 0
     dim = theta.size
@@ -60,7 +59,7 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
             continue
         r = eps * rng.uniform() ** (1.0 / dim)
         cand = theta + u * (r / nrm)
-        sig = strata_signature(family, cand)
+        sig = total_order(family.filtration(cand))
         if sig not in seen:
             seen.add(sig)
             out.append(cand)
@@ -458,6 +457,8 @@ def distributed_gradient(family, theta, loss: DiagramLoss, n_sub: int, s: int,
     scattered back to the global point indices."""
     theta = np.asarray(theta, dtype=float)
     n = len(theta)
+    if n_sub < 1 or s < 1:
+        raise ValueError(f"need n_sub >= 1 and s >= 1, got n_sub={n_sub}, s={s}")
     if s > n:
         raise ValueError("subsample size exceeds the cloud size")
     g = np.zeros_like(theta)

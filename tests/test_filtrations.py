@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo_opt import build_complex
-from topo_opt.complexes import Filtration, boundary
+from topo_opt.complexes import Filtration, boundary, is_face
 from topo_opt.filtrations import (
     ConstantWeights,
     DTMWeights,
@@ -292,6 +292,16 @@ def test_height_normalizes_with_warning():
     assert f.value((0,)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("theta", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+def test_height_rejects_direction_without_unit_vector(theta):
+    cx = build_complex([[0, 1], [1, 2], [2, 3]])
+    fam = HeightFiltration(cx, np.arange(8.0).reshape(4, 2))
+    with pytest.raises(ValueError, match="height direction"):
+        fam.filtration(np.array(theta))
+    with pytest.raises(ValueError, match="height direction"):
+        fam.simplex_gradient(np.array(theta), (0, 1))
+
+
 def test_raw_values_identity(rng):
     cx = build_complex([[0, 1, 2]])
     fam = RawValues(cx)
@@ -332,6 +342,43 @@ def test_strata_signature_locally_constant(rng):
     fam = VietorisRips(5, 2)
     sig = strata_signature(fam, X)
     assert strata_signature(fam, X + 1e-9 * rng.normal(size=X.shape)) == sig
+
+
+def _tied_by_definition(family, X) -> bool:
+    """Some two simplices share a value, neither is a face of the other, and
+    their simplex gradients differ."""
+    filt = family.filtration(X)
+    simplices = filt.complex.simplices
+    grads = {}
+
+    def grad(s):
+        if s not in grads:
+            grads[s] = family.simplex_gradient(X, s)
+        return grads[s]
+
+    for (a, sa), (b, sb) in itertools.combinations(enumerate(simplices), 2):
+        if filt.values[a] != filt.values[b] or is_face(sa, sb) or is_face(sb, sa):
+            continue
+        ga, gb = grad(sa), grad(sb)
+        if ga.keys() != gb.keys() or not all(
+                np.array_equal(ga[k], gb[k]) or np.allclose(ga[k], gb[k]) for k in ga):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 7).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)),
+    st.booleans(), st.booleans())
+def test_strata_signature_tied_matches_all_pairs_definition(coords, rounded, dtm):
+    # one decimal makes distances (and DTM weights) tie exactly
+    X = np.reshape(coords, (-1, 2))
+    if rounded:
+        X = np.round(X, 1)
+    n = len(X)
+    fam = WeightedRips(n, 2, DTMWeights(2)) if dtm else VietorisRips(n, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert strata_signature(fam, X).tied == _tied_by_definition(fam, X)
 
 
 def test_cloud_io_roundtrip(tmp_path, rng):

@@ -5,8 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import topo_opt.filtrations
+import topo_opt.schemes
 from topo_opt.filtrations import VietorisRips
 from topo_opt.losses import DiagramLoss, DistanceToTargetLoss, TotalPersistenceLoss
+from topo_opt.optim import goldstein_check
 from topo_opt.reduction import ReducedDecomposition, betti_numbers, build_diagram, reduce
 from topo_opt.schemes import (
     StratifiedConfig,
@@ -73,6 +76,22 @@ def test_sample_strata_distinct_signatures(rng):
     assert len(sigs) == len(pts)
     for p in pts:
         assert np.linalg.norm(p - X) <= 0.5 + 1e-12
+
+
+def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
+    """Sampling strata compares total orders only: nothing on the way
+    classifies a tie."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("strata_signature called")
+
+    for module in (topo_opt.filtrations, topo_opt.schemes):
+        monkeypatch.setattr(module, "strata_signature", refuse, raising=False)
+    X = np.round(rng.normal(size=(6, 2)), 1)
+    fam = VietorisRips(n_points=6, max_dim=1)
+    loss = TotalPersistenceLoss(dims=(0,))
+    assert len(sample_strata(fam, X, eps=0.5, m=4, rng=rng)) > 1
+    stratified_gradient(fam, X, loss, StratifiedConfig(m=3))
+    goldstein_check(fam, X, loss, eps=0.5, m=3)
 
 
 def test_stratified_gradient_decreases_loss(rng):
@@ -279,6 +298,15 @@ def test_distributed_oversized_subsample_raises(rng):
     with pytest.raises(ValueError):
         distributed_gradient(
             fam, rng.normal(size=(4, 2)), TotalPersistenceLoss(), 1, 10, rng
+        )
+
+
+@pytest.mark.parametrize("n_sub, s", [(0, 2), (1, 0), (-1, 2), (2, -1)])
+def test_distributed_rejects_empty_subsampling(rng, n_sub, s):
+    fam = VietorisRips(n_points=4, max_dim=1)
+    with pytest.raises(ValueError, match="n_sub"):
+        distributed_gradient(
+            fam, rng.normal(size=(4, 2)), TotalPersistenceLoss(), n_sub, s, rng
         )
 
 
