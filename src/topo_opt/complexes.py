@@ -71,6 +71,7 @@ class SimplicialComplex:
         self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
         self._blocks: list[tuple[int, np.ndarray]] | None = None
         self._coboundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._facets: dict[int, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -114,7 +115,7 @@ class SimplicialComplex:
         in increasing order."""
         if p not in self._coboundary:
             blocks = self.blocks()
-            (_, A), (start1, B) = blocks[p], blocks[p + 1]
+            (start, A), (start1, B) = blocks[p], blocks[p + 1]
             # a row of vertex ranks read as a number in base n_vertices: within
             # one dimension, lexicographic order is numeric order of the codes
             vertex_ids = blocks[0][1][:, 0]
@@ -131,7 +132,17 @@ class SimplicialComplex:
             indptr = np.zeros(len(A) + 1, dtype=np.intp)
             np.cumsum(np.bincount(faces, minlength=len(A)), out=indptr[1:])
             self._coboundary[p] = (indptr, owners[np.argsort(faces, kind="stable")])
+            self._facets[p + 1] = start + faces.reshape(len(B), p + 2)
         return self._coboundary[p]
+
+    def facets(self, q: int) -> np.ndarray:
+        """The codimension-1 faces of the q-simplices, for 1 <= q <= dim, as
+        an (m, q+1) array of positions: row r holds the faces of the
+        q-simplex at position start + r, column k the face without its k-th
+        vertex (the order of ``boundary``).  Built with ``coboundary(q-1)``."""
+        if q not in self._facets:
+            self.coboundary(q - 1)
+        return self._facets[q]
 
     def cofaces(self, s: Simplex) -> list[Simplex]:
         """Codimension-1 cofaces of s within the complex."""
@@ -179,6 +190,10 @@ def triangulated_torus() -> SimplicialComplex:
     return build_complex(tris)
 
 
+class NotMonotoneError(ValueError):
+    """A filtration value below the value of one of the simplex's faces."""
+
+
 class Filtration:
     """A monotone real-valued function on the simplices of a complex."""
 
@@ -193,13 +208,18 @@ class Filtration:
             self.check_monotone()
 
     def check_monotone(self) -> None:
-        for s in self.complex.simplices:
-            vs = self.values[self.complex.index[s]]
-            for f in boundary(s):
-                if self.values[self.complex.index[f]] > vs:
-                    raise ValueError(
-                        f"filtration not monotone: f({f}) > f({s})"
-                    )
+        """Raise NotMonotoneError naming the first simplex, in complex order,
+        with a face of larger value, and the first such face."""
+        cx = self.complex
+        for q, (start, _) in enumerate(cx.blocks()[1:], start=1):
+            faces = cx.facets(q)
+            own = self.values[start:start + len(faces)]
+            bad = np.flatnonzero(self.values[faces] > own[:, None])
+            if len(bad):
+                r, k = divmod(int(bad[0]), q + 1)
+                s = cx.simplices[start + r]
+                f = cx.simplices[int(faces[r, k])]
+                raise NotMonotoneError(f"filtration not monotone: f({f}) > f({s})")
 
     def value(self, s: Simplex) -> float:
         return float(self.values[self.complex.index[tuple(s)]])
@@ -232,9 +252,15 @@ def total_order(filtration: Filtration) -> OrderingSignature:
     complex is sorted by (dimension, lexicographic vertices), so a stable
     sort of the values breaks their ties in exactly that order.
     """
-    order = np.argsort(filtration.values, kind="stable")
+    order = _order_indices(filtration)
     tied = next(_free_ties(filtration, order), None) is not None
     return OrderingSignature(tuple(order.tolist()), tied)
+
+
+def _order_indices(filtration: Filtration) -> np.ndarray:
+    """The order of ``total_order`` as an index array, without its tuple
+    and its tie walk."""
+    return np.argsort(filtration.values, kind="stable")
 
 
 def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:

@@ -169,8 +169,9 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
     """Run cfg.steps descent steps from theta0; returns (theta, Trace).
 
     ``regularizer``, when given, must expose value_and_grad(theta) and is
-    added to the topological loss for every method.  A non-finite loss or
-    gradient norm raises DescentAborted.
+    added to the topological loss for every method.  A non-finite theta0
+    raises ValueError; a non-finite loss, gradient norm or updated theta
+    raises DescentAborted.
     """
     step = _STEPS.get(cfg.method)
     if step is None:
@@ -178,6 +179,8 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
     rng = np.random.default_rng(cfg.seed)
     schedule = cfg.make_schedule()
     theta = np.asarray(theta0, dtype=float).copy()
+    if not np.isfinite(theta).all():
+        raise ValueError("non-finite entries in theta0")
     trace = Trace()
     for k in range(cfg.steps + 1):
         t0 = time.perf_counter()
@@ -212,6 +215,8 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
             )
         else:
             theta = theta - step_size * (g + zeta)
+        if not np.isfinite(theta).all():
+            raise DescentAborted(f"non-finite parameters after step {k}", trace)
     return theta, trace
 
 

@@ -11,36 +11,63 @@ There are two paths, both on one column reducer (``_reduce_columns``):
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time and skips the columns already
-  known to be paired.  It yields the same pairing as ``reduce(...).pairing()``.
+  known to be paired.  Apparent pairs (a simplex and its earliest coface,
+  when the simplex is that coface's latest face) are read off the
+  complex's coboundary and facet arrays with numpy; only the other columns
+  are reduced.  It yields the same pairing as ``reduce(...).pairing()``.
+
+A ``PersistencePairing`` holds per-dimension arrays of complex positions
+(births, deaths, essential births); its simplex lists are built on first
+read, and ``build_diagram`` reads the filtration values at those positions.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import (
     Filtration,
     Simplex,
+    SimplicialComplex,
+    _order_indices,
     boundary,
     is_face,
     read_table,
-    total_order,
     write_table,
 )
 
 
-@dataclass
+@dataclass(eq=False)
 class PersistencePairing:
-    """Simplex-level pairing: per homology dimension, (birth, death) simplex
-    pairs plus unpaired (essential) birth simplices."""
+    """Simplex-level pairing, held as positions in ``complex`` per homology
+    dimension: births[p][k] is paired with deaths[p][k], the pairs in birth
+    order, and essential[p] holds the unpaired (essential) births in
+    filtration order.  The simplex lists ``pairs`` and ``unpaired`` are built
+    on first read."""
 
-    pairs: dict[int, list[tuple[Simplex, Simplex]]]
-    unpaired: dict[int, list[Simplex]]
+    complex: SimplicialComplex
+    births: dict[int, np.ndarray]
+    deaths: dict[int, np.ndarray]
+    essential: dict[int, np.ndarray]
+
+    @cached_property
+    def pairs(self) -> dict[int, list[tuple[Simplex, Simplex]]]:
+        S = self.complex.simplices
+        return {p: list(zip(map(S.__getitem__, bs.tolist()),
+                            map(S.__getitem__, self.deaths[p].tolist())))
+                for p, bs in self.births.items()}
+
+    @cached_property
+    def unpaired(self) -> dict[int, list[Simplex]]:
+        S = self.complex.simplices
+        return {p: list(map(S.__getitem__, us.tolist()))
+                for p, us in self.essential.items()}
 
     def dims(self):
-        return sorted(set(self.pairs) | set(self.unpaired))
+        return sorted(set(self.births) | set(self.essential))
 
 
 @dataclass
@@ -54,7 +81,12 @@ class PersistenceDiagram:
     points: dict[int, np.ndarray]
     essential: dict[int, np.ndarray]
     pairs: dict[int, list[tuple[Simplex, Simplex]]] = field(default_factory=dict)
-    essential_simplices: dict[int, list[Simplex]] = field(default_factory=dict)
+    pairing: PersistencePairing | None = None
+
+    @property
+    def essential_simplices(self) -> dict[int, list[Simplex]]:
+        """The pairing's unpaired simplices, built on first read."""
+        return self.pairing.unpaired if self.pairing is not None else {}
 
     def ordinary(self, dim: int) -> np.ndarray:
         return self.points.get(dim, np.empty((0, 2)))
@@ -66,19 +98,22 @@ class PersistenceDiagram:
         return sorted(set(self.points) | set(self.essential))
 
 
-def _reduce_columns(cols: list[set[int]], with_basis: bool):
-    """Left-to-right reduction of the given F2 columns (boundary columns for
-    ``reduce``, anti-transposed coboundary columns for ``perp_basis`` and
-    ``persistence_pairs``).
+def _reduce_columns(cols, with_basis: bool, pivot: dict[int, int] | None = None):
+    """Left-to-right reduction of the F2 columns cols[0], ..., cols[n-1],
+    n = len(cols) on entry (boundary columns for ``reduce``, anti-transposed
+    coboundary columns for ``perp_basis`` and ``persistence_pairs``).
 
-    Returns (R, V, U, pivot) with V as columns, U as rows (V and U are None
-    when with_basis is False), pivot mapping lowest-one row -> column.
+    ``pivot``, when given, holds lowest ones already claimed by columns that
+    need no reduction; their keys, n and up, are columns of ``cols`` too,
+    which it may build on first lookup.  Returns (R, V, U, pivot) with V as
+    columns, U as rows (V and U are None when with_basis is False), pivot
+    mapping lowest-one row -> column.
     """
     n = len(cols)
     R = cols
     V = [{j} for j in range(n)] if with_basis else None
     U = [{j} for j in range(n)] if with_basis else None
-    pivot: dict[int, int] = {}
+    pivot = {} if pivot is None else pivot
     for j in range(n):
         col = R[j]
         while col:
@@ -99,9 +134,9 @@ class ReducedDecomposition:
 
     def __init__(self, filtration: Filtration, with_basis: bool = True):
         cx = self.complex = filtration.complex
-        sig = total_order(filtration)
-        self.simplices: list[Simplex] = [cx.simplices[i] for i in sig.order]
-        self.values: np.ndarray = filtration.values[list(sig.order)].copy()
+        order = _order_indices(filtration)
+        self.simplices: list[Simplex] = [cx.simplices[i] for i in order.tolist()]
+        self.values: np.ndarray = filtration.values[order]
         self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
         self.R, self.V, self.U, self.pivot = _reduce_columns(
             self.boundary_columns(), with_basis
@@ -130,19 +165,15 @@ class ReducedDecomposition:
         return self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
-        pairs: dict[int, list] = defaultdict(list)
-        unpaired: dict[int, list] = defaultdict(list)
-        deaths = []
-        for c in range(len(self.simplices)):
-            if self.R[c]:
-                deaths.append((self.lowof[c], c))
-            elif c not in self.pivot:
-                s = self.simplices[c]
-                unpaired[len(s) - 1].append(s)
-        for r, c in sorted(deaths):
-            b = self.simplices[r]
-            pairs[len(b) - 1].append((b, self.simplices[c]))
-        return PersistencePairing(dict(pairs), dict(unpaired))
+        cx = self.complex
+        order = np.fromiter(map(cx.index.__getitem__, self.simplices), np.intp,
+                            len(self.simplices))
+        partner = np.full(len(order), -1, dtype=np.intp)
+        for c, col in enumerate(self.R):
+            if col:
+                b, d = order[self.lowof[c]], order[c]
+                partner[b], partner[d] = d, b
+        return _pairing(cx, order, partner)
 
     def boundary_columns(self) -> list[set[int]]:
         """The boundary matrix D in the current order, as row-index sets."""
@@ -299,17 +330,53 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
     return dec
 
 
-def _by_dim(indices: np.ndarray, dim_of: np.ndarray):
+class _Coboundaries(dict):
+    """Columns of a compressed-row matrix (indptr, entries) as row-index
+    sets: key j holds row rows[j].  Keys below ``n_reduce``, the columns to
+    reduce, are built at once; the others on first lookup."""
+
+    def __init__(self, indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray,
+                 n_reduce: int):
+        super().__init__()
+        self.indptr, self.entries, self.rows = indptr, entries, rows
+        for j in range(n_reduce):
+            self[j] = self._column(j)
+
+    def _column(self, j: int) -> set[int]:
+        r = self.rows[j]
+        return set(self.entries[self.indptr[r]:self.indptr[r + 1]].tolist())
+
+    def __missing__(self, j: int) -> set[int]:
+        col = self[j] = self._column(j)
+        return col
+
+
+def _pairing(cx: SimplicialComplex, order: np.ndarray, partner: np.ndarray):
+    """The PersistencePairing of ``partner`` (position -> paired position,
+    -1 when unpaired) under the filtration order ``order``: pairs by birth
+    order, unpaired simplices in filtration order, and dimensions in order
+    of first appearance."""
+    blocks = cx.blocks()
+    dim_of = np.repeat(np.arange(len(blocks)), [len(ids) for _, ids in blocks])
+    paired = partner[order] >= 0
+    ranked = order[paired]
+    births = _by_dim(ranked[dim_of[ranked] < dim_of[partner[ranked]]], dim_of)
+    deaths = {p: partner[bs] for p, bs in births.items()}
+    return PersistencePairing(cx, births, deaths, _by_dim(order[~paired], dim_of))
+
+
+def _by_dim(indices: np.ndarray, dim_of: np.ndarray) -> dict[int, np.ndarray]:
     """Split an index array by simplex dimension, keeping the order within
     each part; dimensions come in order of first appearance."""
     dims = dim_of[indices]
-    _, first = np.unique(dims, return_index=True)
-    for k in np.sort(first):
-        yield int(dims[k]), indices[dims == dims[k]]
+    masks = [dims == p for p in range(dim_of[-1] + 1)]
+    present = sorted((int(np.argmax(at)), p) for p, at in enumerate(masks) if at.any())
+    return {p: indices[masks[p]] for _, p in present}
 
 
 def persistence_pairs(filtration: Filtration) -> PersistencePairing:
-    """Persistence pairing of a filtration, by cohomology with clearing.
+    """Persistence pairing of a filtration, by cohomology with clearing and
+    apparent pairs.
 
     The coboundary matrix is reduced one dimension at a time, lowest first.
     The columns of dimension p are the p-simplices in reverse filtration
@@ -322,10 +389,18 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     the boundary-matrix reduction (de Silva, Morozov and Vejdemo-Johansson,
     Dualities in persistent (co)homology, 2011), listed in the same order:
     pairs by birth position, unpaired simplices in filtration order.
+
+    A p-simplex sigma whose earliest coface tau has sigma as its latest face
+    is an apparent pair (Bauer, Ripser, 2021): no column before sigma's holds
+    tau, so sigma's column is reduced as it stands and pairs with tau.  Both
+    extrema are taken over index arrays (the coboundary and the facets of
+    the complex), the apparent pairs seed the pivots, and only the other
+    columns go through ``_reduce_columns``; an apparent column is built only
+    when a reduced column meets its pivot.
     """
     cx = filtration.complex
     n = len(cx)
-    order = np.asarray(total_order(filtration).order, dtype=np.intp)
+    order = _order_indices(filtration)
     pos = np.empty(n, dtype=np.intp)
     pos[order] = np.arange(n)
     anti = n - 1 - pos
@@ -334,26 +409,29 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     for p in range(len(blocks) - 1):
         start, ids = blocks[p]
         indptr, cofaces = cx.coboundary(p)
-        ptr, entries = indptr.tolist(), anti[cofaces].tolist()
+        entries = anti[cofaces]
         rows = np.argsort(pos[start:start + len(ids)])[::-1]
         rows = rows[partner[start + rows] < 0]
-        cols = [set(entries[ptr[r]:ptr[r + 1]]) for r in rows.tolist()]
-        _, _, _, pivot = _reduce_columns(cols, with_basis=False)
-        births = start + rows[np.fromiter(pivot.values(), np.intp, len(pivot))]
+        # earliest coface of every column, -1 for none (a trailing -1 keeps
+        # every segment start inside the array)
+        earliest = np.maximum.reduceat(np.append(entries, -1), indptr[:-1])
+        earliest[indptr[1:] == indptr[:-1]] = -1
+        top = earliest[rows]
+        has = np.flatnonzero(top >= 0)
+        faces = cx.facets(p + 1)[order[n - 1 - top[has]] - blocks[p + 1][0]]
+        latest = faces[np.arange(len(faces)), np.argmax(pos[faces], axis=1)]
+        apparent = np.zeros(len(rows), dtype=bool)
+        apparent[has] = latest == start + rows[has]
+        rest = rows[~apparent]
+        keys = np.concatenate([rest, rows[apparent]])
+        cols = _Coboundaries(indptr, entries, keys, len(rest))
+        pivot = dict(zip(top[apparent].tolist(), range(len(rest), len(rows))))
+        _, _, _, pivot = _reduce_columns(cols, with_basis=False, pivot=pivot)
+        births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
         deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
         partner[births] = deaths
         partner[deaths] = births
-
-    S = cx.simplices
-    dim_of = np.repeat(np.arange(len(blocks)), [len(ids) for _, ids in blocks])
-    paired = partner[order] >= 0
-    in_order = order[paired]
-    births = in_order[pos[in_order] < pos[partner[in_order]]]
-    pairs = {p: [(S[b], S[d]) for b, d in zip(bs.tolist(), partner[bs].tolist())]
-             for p, bs in _by_dim(births, dim_of)}
-    unpaired = {p: [S[i] for i in us.tolist()]
-                for p, us in _by_dim(order[~paired], dim_of)}
-    return PersistencePairing(pairs, unpaired)
+    return _pairing(cx, order, partner)
 
 
 def build_diagram(
@@ -369,38 +447,29 @@ def build_diagram(
     """
     if pairing is None:
         pairing = persistence_pairs(filtration)
-    index = filtration.complex.index
-
-    def values_of(simplices):
-        at = np.fromiter(map(index.__getitem__, simplices), np.intp, len(simplices))
-        return filtration.values[at]
-
+    values = filtration.values
+    S = pairing.complex.simplices
     points: dict[int, np.ndarray] = {}
-    essential: dict[int, np.ndarray] = {}
     pairs: dict[int, list] = {}
-    ess_s: dict[int, list] = {}
-    for dim, plist in pairing.pairs.items():
-        bv = values_of([b for b, _ in plist])
-        dv = values_of([d for _, d in plist])
-        kept = list(plist)
+    for dim, bs in pairing.births.items():
+        ds = pairing.deaths[dim]
+        bv, dv = values[bs], values[ds]
         if drop_zero_tol > 0.0:
             keep = np.flatnonzero(dv - bv > drop_zero_tol)
-            bv, dv = bv[keep], dv[keep]
-            kept = [kept[k] for k in keep.tolist()]
+            bs, ds, bv, dv = bs[keep], ds[keep], bv[keep], dv[keep]
         points[dim] = np.column_stack([bv, dv])
-        pairs[dim] = kept
-    for dim, slist in pairing.unpaired.items():
-        essential[dim] = values_of(slist)
-        ess_s[dim] = list(slist)
-    return PersistenceDiagram(points, essential, pairs, ess_s)
+        pairs[dim] = list(zip(map(S.__getitem__, bs.tolist()),
+                              map(S.__getitem__, ds.tolist())))
+    essential = {dim: values[us] for dim, us in pairing.essential.items()}
+    return PersistenceDiagram(points, essential, pairs, pairing)
 
 
 def betti_numbers(filtration: Filtration) -> dict[int, int]:
     """Ranks of the homology of the full complex (counts of essential classes)."""
     pairing = persistence_pairs(filtration)
     out = {d: 0 for d in range(filtration.complex.dim + 1)}
-    for dim, slist in pairing.unpaired.items():
-        out[dim] = len(slist)
+    for dim, us in pairing.essential.items():
+        out[dim] = len(us)
     return out
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, Simplex, boundary, total_order
+from .complexes import Filtration, NotMonotoneError, Simplex, boundary, total_order
 from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
 from .metrics import fg_distance
 from .reduction import (
@@ -45,7 +45,9 @@ def vanilla_gradient(family, theta, loss: DiagramLoss):
 def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
     """Sample up to m parameter points with pairwise-distinct total simplex
     orders from the eps-ball around theta (theta's own stratum is always
-    included first).  Rejection sampling is capped at 20*m draws."""
+    included first).  Rejection sampling is capped at 20*m draws; a draw
+    whose values break the face order (possible for raw values) is
+    rejected."""
     theta = np.asarray(theta, dtype=float)
     seen = {total_order(family.filtration(theta))}
     out = [theta.copy()]
@@ -59,7 +61,10 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
             continue
         r = eps * rng.uniform() ** (1.0 / dim)
         cand = theta + u * (r / nrm)
-        sig = total_order(family.filtration(cand))
+        try:
+            sig = total_order(family.filtration(cand))
+        except NotMonotoneError:
+            continue
         if sig not in seen:
             seen.add(sig)
             out.append(cand)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from topo_opt import build_complex, complete_complex, triangulated_torus
 from topo_opt.complexes import (
     Filtration,
+    NotMonotoneError,
     boundary,
     read_complex,
     total_order,
@@ -143,6 +144,43 @@ def test_monotonicity_validated():
     bad[cx.index[(0,)]] = 5.0  # vertex above its coface
     with pytest.raises(ValueError):
         Filtration(cx, bad)
+
+
+def first_violation_by_loop(cx, values):
+    """The first (face, simplex) with f(face) > f(simplex), scanning
+    simplices in complex order and each one's faces in ``boundary`` order."""
+    for s in cx.simplices:
+        for f in boundary(s):
+            if values[cx.index[f]] > values[cx.index[s]]:
+                return f"filtration not monotone: f({f}) > f({s})"
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8),
+       st.integers(0, 10_000), st.booleans())
+def test_check_monotone_names_the_loops_first_violation(sims, seed, integers):
+    cx = build_complex(sims)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 3, len(cx)) if integers else rng.uniform(size=len(cx))
+    want = first_violation_by_loop(cx, values)
+    if want is None:
+        Filtration(cx, values)
+        return
+    with pytest.raises(NotMonotoneError) as exc:
+        Filtration(cx, values)
+    assert str(exc.value) == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8))
+def test_facets_are_the_boundary_in_order(sims):
+    cx = build_complex(sims)
+    for q, (start, ids) in enumerate(cx.blocks()[1:], start=1):
+        faces = cx.facets(q)
+        assert faces.shape == (len(ids), q + 1)
+        for r, row in enumerate(faces.tolist()):
+            assert [cx.simplices[i] for i in row] == boundary(cx.simplices[start + r])
 
 
 def test_complete_complex_counts():

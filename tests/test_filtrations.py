@@ -11,6 +11,7 @@ from topo_opt.complexes import Filtration, boundary, is_face
 from topo_opt.filtrations import (
     ConstantWeights,
     DTMWeights,
+    FunctionWeights,
     HeightFiltration,
     LowerStar,
     RawValues,
@@ -21,8 +22,10 @@ from topo_opt.filtrations import (
     strata_signature,
     write_cloud,
 )
+from topo_opt.losses import DistanceToTargetLoss, TotalPersistenceLoss
 from topo_opt.metrics import bottleneck_distance
 from topo_opt.reduction import build_diagram
+from topo_opt.schemes import vanilla_gradient
 
 
 def fd_simplex_value(family, X, simplex, h=1e-6):
@@ -239,6 +242,36 @@ def test_dtm_weighted_rips_gradient_matches_fd(rng):
             np.testing.assert_allclose(
                 g, fd_simplex_value(fam, X, s), atol=1e-4
             )
+
+
+def test_function_weighted_rips_loss_gradient_matches_fd(rng):
+    """The chain rule through a user weight function (here f(x) = |x|^2 / 10
+    + x_0 / 20), checked as acceptance 05 checks DTM weights: directional
+    finite differences of the loss at points whose total order is constant
+    across the stencil."""
+    weights = FunctionWeights(
+        lambda X: 0.1 * (X * X).sum(axis=1) + 0.05 * X[:, 0],
+        lambda X, i: {i: 0.2 * X[i] + np.array([0.05, 0.0])})
+    fam = WeightedRips(5, 2, weights)
+    h = 1e-6
+    for loss in (TotalPersistenceLoss(dims=(0, 1)),
+                 DistanceToTargetLoss(0, [[0.1, 0.6], [0.3, 1.2]])):
+        accepted = attempts = 0
+        while accepted < 30 and attempts < 300:
+            attempts += 1
+            theta = rng.normal(size=(5, 2))
+            u = rng.normal(size=theta.shape)
+            u /= np.linalg.norm(u)
+            sp = strata_signature(fam, theta + h * u)
+            sm = strata_signature(fam, theta - h * u)
+            if sp.order != sm.order or sp.tied or sm.tied:
+                continue
+            fd = (vanilla_gradient(fam, theta + h * u, loss)[0]
+                  - vanilla_gradient(fam, theta - h * u, loss)[0]) / (2 * h)
+            an = float((vanilla_gradient(fam, theta, loss)[1] * u).sum())
+            assert abs(fd - an) <= 1e-4 * max(1.0, abs(an))
+            accepted += 1
+        assert accepted == 30
 
 
 # -- lower star / height / raw values ---------------------------------------

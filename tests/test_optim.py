@@ -150,6 +150,33 @@ def test_descent_aborted_on_non_finite_gradient():
     assert not np.isfinite(exc.value.trace.records[-1].grad_norm)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_descend_rejects_non_finite_theta0(bad):
+    X = circle_cloud(5)
+    X[2, 1] = bad
+    fam = VietorisRips(n_points=5, max_dim=1)
+    with pytest.raises(ValueError, match="theta0"):
+        descend(fam, X, TotalPersistenceLoss(dims=(0,)), DescentConfig(steps=2))
+
+
+def test_descent_aborted_when_an_update_overflows_theta():
+    class SteepLoss(DiagramLoss):
+        dims = (0,)
+
+        def evaluate(self, dgm):
+            pts = dgm.ordinary(0)
+            return 0.0, {0: np.tile([0.0, 1e150], (len(pts), 1))}
+
+    X = circle_cloud(5)
+    fam = VietorisRips(n_points=5, max_dim=1)
+    cfg = DescentConfig(method="vanilla", steps=3, lr=1e160)
+    with np.errstate(over="ignore"), pytest.raises(DescentAborted) as exc:
+        descend(fam, X, SteepLoss(), cfg)
+    assert "parameters" in str(exc.value)
+    (record,) = exc.value.trace.records
+    assert np.isfinite(record.loss) and np.isfinite(record.grad_norm)
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_every_method_descends_deterministically(method):
     X = circle_cloud(6, noise=0.1, seed=1)

@@ -158,6 +158,48 @@ def test_persistence_pairs_equals_reduction_on_tied_vr(coords, max_dim):
         assert_diagram_reads_the_pairing(f, tol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)),
+    st.sampled_from([1, 2, 3]))
+def test_persistence_pairs_equals_reduction_on_integer_grids(coords, max_dim):
+    # points on a 4 x 4 grid, repeats allowed: most values tie, so most
+    # columns are not apparent pairs and go through the column reducer
+    X = np.reshape(coords, (-1, 2)).astype(float)
+    f = VietorisRips(len(X), max_dim).filtration(X)
+    assert_same_pairing(f)
+    for tol in (0.0, 1e-12, 0.5):
+        assert_diagram_reads_the_pairing(f, tol)
+
+
+class RefusingIndex(dict):
+    def __getitem__(self, key):
+        raise AssertionError(f"complex.index looked up {key}")
+
+    get = __contains__ = __getitem__
+
+
+def test_pairing_and_diagram_never_look_up_the_complex_index(rng):
+    from topo_opt.losses import TotalPersistenceLoss
+    from topo_opt.schemes import vanilla_gradient
+
+    X = rng.normal(size=(9, 2))
+    fam = VietorisRips(len(X), 2)
+    loss = TotalPersistenceLoss(dims=(0, 1))
+    value, g, dgm = vanilla_gradient(fam, X, loss)
+    f = fam.filtration(X)
+    want = build_diagram(f)
+    fam.complex.index = RefusingIndex(fam.complex.index)
+    value2, g2, dgm2 = vanilla_gradient(fam, X, loss)
+    got = build_diagram(f)
+    assert value2 == value
+    np.testing.assert_array_equal(g2, g)
+    for dim in want.points:
+        assert got.points[dim].tobytes() == want.points[dim].tobytes()
+        assert got.pairs[dim] == want.pairs[dim]
+    assert got.essential_simplices == want.essential_simplices
+
+
 def test_pairing_invariant_under_monotone_rescaling(rng):
     f = random_filtration(rng)
     g = Filtration(f.complex, 3.0 * f.values + 1.0)

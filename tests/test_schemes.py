@@ -7,7 +7,8 @@ import pytest
 
 import topo_opt.filtrations
 import topo_opt.schemes
-from topo_opt.filtrations import VietorisRips
+from topo_opt import complete_complex
+from topo_opt.filtrations import RawValues, VietorisRips
 from topo_opt.losses import DiagramLoss, DistanceToTargetLoss, TotalPersistenceLoss
 from topo_opt.optim import goldstein_check
 from topo_opt.reduction import ReducedDecomposition, betti_numbers, build_diagram, reduce
@@ -92,6 +93,29 @@ def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
     assert len(sample_strata(fam, X, eps=0.5, m=4, rng=rng)) > 1
     stratified_gradient(fam, X, loss, StratifiedConfig(m=3))
     goldstein_check(fam, X, loss, eps=0.5, m=3)
+
+
+@pytest.mark.parametrize("gap", [0.0, 0.1])
+def test_strata_sampling_on_raw_values_rejects_non_monotone_draws(gap):
+    """Raw values close to a face/coface tie leave the filtration space for
+    much of the eps-ball (all of it at gap 0, lower-star values); such draws
+    are rejected, not raised, and only monotone points come back."""
+    cx = complete_complex(6, 2)
+    fam = RawValues(cx)
+    heights = np.array([0.0, 0.4, 0.2, 0.9, 0.6, 0.3])
+    theta = np.array([heights[list(s)].max() + gap * (len(s) - 1) for s in cx.simplices])
+    loss = TotalPersistenceLoss(dims=(0,))
+    sizes = []
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        pts = sample_strata(fam, theta, eps=0.3, m=4, rng=rng)
+        sizes.append(len(pts))
+        for p in pts:
+            fam.filtration(p)  # every accepted point is monotone
+        stratified_gradient(fam, theta, loss, StratifiedConfig(eps=0.3, m=4), rng)
+        goldstein_check(fam, theta, loss, eps=0.3, m=4, rng=rng)
+    assert max(sizes) <= 5
+    assert (max(sizes) > 1) == (gap > 0)
 
 
 def test_stratified_gradient_decreases_loss(rng):
