@@ -7,7 +7,6 @@ witnesses of each filtration family.
 
 from .complexes import (
     Filtration,
-    NotMonotoneError,
     OrderingSignature,
     SimplicialComplex,
     as_simplex,

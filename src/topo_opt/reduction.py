@@ -165,15 +165,23 @@ class ReducedDecomposition:
         return self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
-        cx = self.complex
-        order = np.fromiter(map(cx.index.__getitem__, self.simplices), np.intp,
-                            len(self.simplices))
-        partner = np.full(len(order), -1, dtype=np.intp)
-        for c, col in enumerate(self.R):
-            if col:
-                b, d = order[self.lowof[c]], order[c]
-                partner[b], partner[d] = d, b
-        return _pairing(cx, order, partner)
+        index = self.complex.index
+        births: dict[int, list] = defaultdict(list)
+        deaths: dict[int, list] = defaultdict(list)
+        essential: dict[int, list] = defaultdict(list)
+        dead = []
+        for c, s in enumerate(self.simplices):
+            if self.R[c]:
+                dead.append((self.lowof[c], c))
+            elif c not in self.pivot:
+                essential[len(s) - 1].append(index[s])
+        for r, c in sorted(dead):
+            b = self.simplices[r]
+            births[len(b) - 1].append(index[b])
+            deaths[len(b) - 1].append(index[self.simplices[c]])
+        arrays = lambda lists: {p: np.array(v, dtype=np.intp) for p, v in lists.items()}
+        return PersistencePairing(self.complex, arrays(births), arrays(deaths),
+                                  arrays(essential))
 
     def boundary_columns(self) -> list[set[int]]:
         """The boundary matrix D in the current order, as row-index sets."""
