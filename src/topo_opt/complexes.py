@@ -1,17 +1,24 @@
 """Simplicial complexes, the mod-2 boundary operator, and filtrations.
 
-A simplex is a tuple of strictly increasing vertex ids.  A complex stores
+A simplex is a tuple of strictly increasing vertex ids.  A complex holds
 its simplices closed under the face relation, sorted by (dimension,
-lexicographic vertices) so that positions are reproducible.  A filtration
-attaches a real value to every simplex, monotone along the face relation.
+lexicographic vertices) so that positions are reproducible.  It stores them
+as one block per dimension, an array of vertex ids with one row per
+simplex; the tuple list and the position lookup are built from the blocks
+only when read.  A complete complex fills its blocks directly, with no
+tuples.  A filtration attaches a real value to every simplex, monotone
+along the face relation.
 The comma-separated table format that clouds, diagrams, traces and
 matchings are written in lives here too.
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -52,29 +59,63 @@ def is_face(a: Simplex, b: Simplex) -> bool:
 class SimplicialComplex:
     """A finite simplicial complex, closed under taking faces.
 
-    The (dimension, lexicographic) sort keeps each dimension in one
-    contiguous run, so the dimension, the skeleta and the per-dimension
-    blocks need no scan; blocks and coboundaries are computed on first use
-    and kept, the complex being immutable.
+    The simplices are held as one block per dimension p: a start position
+    and an (m, p+1) array of vertex ids, row r holding the vertices of the
+    simplex at position start + r.  Positions follow the (dimension,
+    lexicographic) sort, so each dimension is one contiguous run.  The tuple
+    list ``simplices`` and the position lookup ``index`` are views of the
+    blocks, built on first read; coboundaries and facets are computed on
+    first use.  Everything is kept, the complex being immutable.
     """
 
-    def __init__(self, simplices: Iterable[Simplex], _closed: bool = False):
-        if _closed:
-            closed = set(simplices)
-        else:
-            closed = set()
-            for s in simplices:
-                s = as_simplex(s)
-                for k in range(1, len(s) + 1):
-                    closed.update(itertools.combinations(s, k))
-        self.simplices: list[Simplex] = sorted(closed, key=lambda s: (len(s), s))
-        self.index: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self._blocks: list[tuple[int, np.ndarray]] | None = None
+    def __init__(self, simplices: Iterable[Simplex]):
+        closed = set()
+        for s in simplices:
+            s = as_simplex(s)
+            for k in range(1, len(s) + 1):
+                closed.update(itertools.combinations(s, k))
+        ordered = sorted(closed, key=lambda s: (len(s), s))
+        self._set_blocks([np.array(list(run), dtype=int)
+                          for _, run in itertools.groupby(ordered, key=len)])
+
+    @classmethod
+    def _from_blocks(cls, ids: list[np.ndarray]) -> SimplicialComplex:
+        """The complex whose dimension-p simplices are the rows of ids[p],
+        which must be closed under faces and sorted lexicographically."""
+        cx = cls.__new__(cls)
+        cx._set_blocks(ids)
+        return cx
+
+    def _set_blocks(self, ids: list[np.ndarray]) -> None:
+        starts = np.cumsum([0] + [len(a) for a in ids]).tolist()
+        self._blocks: list[tuple[int, np.ndarray]] = list(zip(starts, ids))
+        self._len: int = starts[-1]
         self._coboundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._facets: dict[int, np.ndarray] = {}
 
+    @cached_property
+    def simplices(self) -> list[Simplex]:
+        """Every simplex as a tuple, in position order."""
+        return [s for _, ids in self._blocks for s in map(tuple, ids.tolist())]
+
+    @cached_property
+    def index(self) -> dict[Simplex, int]:
+        """Position of every simplex."""
+        return {s: i for i, s in enumerate(self.simplices)}
+
+    def simplex(self, i: int) -> Simplex:
+        """The simplex at position i, read off its block unless the whole
+        list ``simplices`` has been built."""
+        if not 0 <= i < self._len:
+            raise IndexError(f"no simplex at position {i} of {self._len}")
+        listed = self.__dict__.get("simplices")
+        if listed is not None:
+            return listed[i]
+        start, ids = self._blocks[bisect_right(self._blocks, i, key=itemgetter(0)) - 1]
+        return tuple(ids[i - start].tolist())
+
     def __len__(self) -> int:
-        return len(self.simplices)
+        return self._len
 
     def __iter__(self):
         return iter(self.simplices)
@@ -84,28 +125,18 @@ class SimplicialComplex:
 
     @property
     def dim(self) -> int:
-        return len(self.simplices[-1]) - 1
-
-    def _run(self, p: int) -> tuple[int, int]:
-        """Start and stop of the run of p-simplices."""
-        return (bisect_left(self.simplices, p + 1, key=len),
-                bisect_left(self.simplices, p + 2, key=len))
+        return len(self._blocks) - 1
 
     def skeleton(self, p: int) -> list[Simplex]:
         """All simplices of dimension exactly p."""
-        start, stop = self._run(p)
-        return self.simplices[start:stop]
+        if not 0 <= p <= self.dim:
+            return []
+        return list(map(tuple, self._blocks[p][1].tolist()))
 
     def blocks(self) -> list[tuple[int, np.ndarray]]:
         """Per dimension p, (start, vertex ids): the p-simplices are
         positions start, start+1, ... and row r of the (m, p+1) id array
         holds the vertices of simplex start + r."""
-        if self._blocks is None:
-            self._blocks = []
-            for p in range(self.dim + 1):
-                start, stop = self._run(p)
-                ids = np.asarray(self.simplices[start:stop], dtype=int)
-                self._blocks.append((start, ids))
         return self._blocks
 
     def coboundary(self, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +145,7 @@ class SimplicialComplex:
         position start + r are the positions indices[indptr[r]:indptr[r+1]],
         in increasing order."""
         if p not in self._coboundary:
-            blocks = self.blocks()
+            blocks = self._blocks
             (start, A), (start1, B) = blocks[p], blocks[p + 1]
             # a row of vertex ranks read as a number in base n_vertices: within
             # one dimension, lexicographic order is numeric order of the codes
@@ -150,11 +181,11 @@ class SimplicialComplex:
         if p >= self.dim:
             return []
         indptr, indices = self.coboundary(p)
-        r = i - self.blocks()[p][0]
-        return [self.simplices[j] for j in indices[indptr[r]:indptr[r + 1]].tolist()]
+        r = i - self._blocks[p][0]
+        return list(map(self.simplices.__getitem__, indices[indptr[r]:indptr[r + 1]].tolist()))
 
     def n_vertices(self) -> int:
-        return len(self.skeleton(0))
+        return len(self._blocks[0][1])
 
 
 def build_complex(simplices: Iterable[Sequence[int]], max_dim: int | None = None) -> SimplicialComplex:
@@ -171,11 +202,28 @@ def build_complex(simplices: Iterable[Sequence[int]], max_dim: int | None = None
 
 
 def complete_complex(n_points: int, max_dim: int) -> SimplicialComplex:
-    """The full complex on n vertices truncated at max_dim."""
-    sims = set()
-    for k in range(1, max_dim + 2):
-        sims.update(itertools.combinations(range(n_points), k))
-    return SimplicialComplex(sims, _closed=True)
+    """The full complex on the vertices 0, ..., n_points - 1, truncated at
+    max_dim (and at n_points - 1, the dimension of the full simplex).
+
+    Each block is emitted in lexicographic order, the order of the
+    combinatorial number system (Bauer, Ripser, 2021): the (p+1)-subsets
+    that start at vertex a are a followed by each p-subset of a+1, ...,
+    n_points - 1, and those are the last C(n_points - 1 - a, p) rows of the
+    block below.
+    """
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be non-negative, got {max_dim}")
+    verts = np.arange(n_points)
+    ids = [verts[:, None]]
+    for p in range(1, min(max_dim, n_points - 1) + 1):
+        below = ids[-1]
+        counts = np.array([math.comb(n_points - 1 - a, p) for a in range(n_points)])
+        ends = np.cumsum(counts)
+        rows = np.arange(ends[-1]) + np.repeat(len(below) - ends, counts)
+        ids.append(np.column_stack([np.repeat(verts, counts), below[rows]]))
+    return SimplicialComplex._from_blocks(ids)
 
 
 def triangulated_torus() -> SimplicialComplex:
@@ -217,8 +265,8 @@ class Filtration:
             bad = np.flatnonzero(self.values[faces] > own[:, None])
             if len(bad):
                 r, k = divmod(int(bad[0]), q + 1)
-                s = cx.simplices[start + r]
-                f = cx.simplices[int(faces[r, k])]
+                s = cx.simplex(start + r)
+                f = cx.simplex(int(faces[r, k]))
                 raise NotMonotoneError(f"filtration not monotone: f({f}) > f({s})")
 
     def value(self, s: Simplex) -> float:
@@ -267,12 +315,12 @@ def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
     """Simplex indices (a, b) adjacent in the total order ``order`` whose
     values are equal and neither of which is a face of the other, lazily and
     in order: the candidate stratum boundaries."""
-    simplices = filtration.complex.simplices
+    simplex = filtration.complex.simplex
     order = np.asarray(order)
     ov = filtration.values[order]
     for k in np.nonzero(ov[1:] == ov[:-1])[0]:
         a, b = int(order[k]), int(order[k + 1])
-        sa, sb = simplices[a], simplices[b]
+        sa, sb = simplex(a), simplex(b)
         if not (is_face(sa, sb) or is_face(sb, sa)):
             yield a, b
 

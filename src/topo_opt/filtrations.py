@@ -251,10 +251,15 @@ class LowerStar:
 
     def filtration(self, f: np.ndarray) -> Filtration:
         f = np.asarray(f, dtype=float)
-        vals = np.array(
-            [max(f[self.vindex[v]] for v in s) for s in self.complex.simplices]
-        )
-        return Filtration(self.complex, vals, check=False)
+        blocks = self.complex.blocks()
+        vertex_ids = blocks[0][1][:, 0]
+        vals = []
+        for _, ids in blocks:
+            fv = f[np.searchsorted(vertex_ids, ids)]
+            # the value at the first maximizer, as max() over the vertices
+            # takes it: a row max may return 0.0 where max() keeps -0.0
+            vals.append(fv[np.arange(len(fv)), fv.argmax(axis=1)])
+        return Filtration(self.complex, np.concatenate(vals), check=False)
 
     def witness(self, f: np.ndarray, simplex: Simplex) -> int:
         f = np.asarray(f, dtype=float)
@@ -334,7 +339,7 @@ def strata_signature(family, theta) -> OrderingSignature:
 
     def grad(q):
         if q not in grads:
-            grads[q] = family.simplex_gradient(theta, filt.complex.simplices[q])
+            grads[q] = family.simplex_gradient(theta, filt.complex.simplex(q))
         return grads[q]
 
     def same_gradient(ga, gb):

@@ -135,7 +135,7 @@ class ReducedDecomposition:
     def __init__(self, filtration: Filtration, with_basis: bool = True):
         cx = self.complex = filtration.complex
         order = _order_indices(filtration)
-        self.simplices: list[Simplex] = [cx.simplices[i] for i in order.tolist()]
+        self.simplices: list[Simplex] = list(map(cx.simplices.__getitem__, order.tolist()))
         self.values: np.ndarray = filtration.values[order]
         self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
         self.R, self.V, self.U, self.pivot = _reduce_columns(
@@ -456,7 +456,14 @@ def build_diagram(
     if pairing is None:
         pairing = persistence_pairs(filtration)
     values = filtration.values
-    S = pairing.complex.simplices
+    blocks = pairing.complex.blocks()
+
+    def simplices_at(positions, p):
+        # one block slice per dimension, not one lookup per simplex: the
+        # complex's tuple list need not exist
+        start, ids = blocks[p]
+        return map(tuple, ids[positions - start].tolist())
+
     points: dict[int, np.ndarray] = {}
     pairs: dict[int, list] = {}
     for dim, bs in pairing.births.items():
@@ -466,8 +473,7 @@ def build_diagram(
             keep = np.flatnonzero(dv - bv > drop_zero_tol)
             bs, ds, bv, dv = bs[keep], ds[keep], bv[keep], dv[keep]
         points[dim] = np.column_stack([bv, dv])
-        pairs[dim] = list(zip(map(S.__getitem__, bs.tolist()),
-                              map(S.__getitem__, ds.tolist())))
+        pairs[dim] = list(zip(simplices_at(bs, dim), simplices_at(ds, dim + 1)))
     essential = {dim: values[us] for dim, us in pairing.essential.items()}
     return PersistenceDiagram(points, essential, pairs, pairing)
 

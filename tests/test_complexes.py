@@ -1,4 +1,6 @@
 """Complex construction, boundaries, orders, and the text format."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,62 @@ def test_facets_are_the_boundary_in_order(sims):
 def test_complete_complex_counts():
     cx = complete_complex(5, 2)
     assert len(cx) == 5 + 10 + 10
+
+
+def assert_same_complex(got, want):
+    """Every view of two complexes agrees; ``simplex(i)`` is read off the
+    blocks of ``got`` before its tuple list exists."""
+    assert [got.simplex(i) for i in range(len(want))] == want.simplices
+    assert "simplices" not in vars(got) and "index" not in vars(got)
+    assert (len(got), got.dim) == (len(want), want.dim)
+    assert got.simplices == want.simplices
+    assert got.index == want.index
+    assert [got.simplex(i) for i in range(len(want))] == want.simplices
+    assert len(got.blocks()) == len(want.blocks())
+    for (s1, a1), (s2, a2) in zip(got.blocks(), want.blocks()):
+        assert s1 == s2 and a1.dtype == a2.dtype
+        np.testing.assert_array_equal(a1, a2)
+    for p in range(-1, want.dim + 2):
+        assert got.skeleton(p) == want.skeleton(p)
+    for p in range(want.dim):
+        for x, y in zip(got.coboundary(p), want.coboundary(p)):
+            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(got.facets(p + 1), want.facets(p + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 4))
+def test_complete_complex_equals_the_closure_of_all_subsets(n, d):
+    k = min(d + 1, n)
+    want = build_complex(itertools.combinations(range(n), k))
+    got = complete_complex(n, d)
+    assert_same_complex(got, want)
+    for s in want.simplices:
+        assert got.cofaces(s) == want.cofaces(s)
+
+
+def test_paper_size_complete_complex_equals_the_closure():
+    assert_same_complex(complete_complex(101, 2),
+                        build_complex(itertools.combinations(range(101), 3)))
+
+
+def test_complete_complex_rejects_no_points_and_negative_dimension():
+    with pytest.raises(ValueError, match="n_points"):
+        complete_complex(0, 2)
+    with pytest.raises(ValueError, match="max_dim"):
+        complete_complex(3, -1)
+    cx = complete_complex(3, 5)  # truncated at the full triangle
+    assert (len(cx), cx.dim) == (7, 2)
+
+
+def test_simplex_rejects_positions_outside_the_complex():
+    cx = complete_complex(3, 2)
+    for listed in (False, True):
+        if listed:
+            assert len(cx.simplices) == 7
+        for i in (-1, 7):
+            with pytest.raises(IndexError):
+                cx.simplex(i)
 
 
 def test_complex_io_roundtrip(tmp_path, rng):

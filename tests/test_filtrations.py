@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topo_opt import build_complex
+from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import Filtration, boundary, is_face
 from topo_opt.filtrations import (
     ConstantWeights,
@@ -293,6 +293,39 @@ def test_lower_star_gradient_is_witness_indicator():
     # tie -> smallest vertex id wins
     g_tie = fam.simplex_gradient(np.array([2.0, 2.0]), (0, 1))
     assert g_tie == {0: 1.0}
+
+
+def lower_star_by_loop(cx, f):
+    """Per simplex, max() over the values of its vertices."""
+    vindex = {s[0]: i for i, s in enumerate(cx.skeleton(0))}
+    return np.array([max(f[vindex[v]] for v in s) for s in cx.simplices])
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=8),
+       st.data())
+def test_lower_star_values_match_the_loop_bit_for_bit(sims, data):
+    cx = build_complex(sims)
+    n = cx.n_vertices()
+    # few distinct values, signed zeros among them: ties are the hard case
+    values = st.sampled_from([-0.0, 0.0, 1.0, -2.5]) | finite
+    f = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    got = LowerStar(cx).filtration(f).values
+    assert got.tobytes() == lower_star_by_loop(cx, f).tobytes()
+
+
+def test_lower_star_and_height_match_the_loop_on_the_torus(rng):
+    cx = triangulated_torus()
+    for f in (rng.normal(size=9), rng.integers(-1, 2, 9) * 0.0, rng.integers(0, 3, 9) * 1.0):
+        assert LowerStar(cx).filtration(f).values.tobytes() == lower_star_by_loop(cx, f).tobytes()
+    pos = rng.normal(size=(9, 2))
+    pos[0] = 0.0  # height -0.0 under a direction with negative entries
+    theta = np.array([-0.6, -0.8])
+    got = HeightFiltration(cx, pos).filtration(theta).values
+    assert got.tobytes() == lower_star_by_loop(cx, pos @ theta).tobytes()
 
 
 def test_height_filtration_triangle():

@@ -45,6 +45,7 @@ def check_decomposition(dec):
         for j in row:
             U[i, j] = 1
     assert ((V @ U) % 2 == np.eye(n, dtype=int)).all()
+    assert ((U @ V) % 2 == np.eye(n, dtype=int)).all()
     lows = [max(c) for c in dec.R if c]
     assert len(lows) == len(set(lows))
 
@@ -200,6 +201,27 @@ def test_pairing_and_diagram_never_look_up_the_complex_index(rng):
     assert got.essential_simplices == want.essential_simplices
 
 
+def test_vanilla_step_and_set_up_never_build_the_simplex_list_or_index(rng):
+    from topo_opt.complexes import total_order
+    from topo_opt.losses import TotalPersistenceLoss
+    from topo_opt.schemes import vanilla_gradient
+
+    X = rng.normal(size=(33, 2))
+    fam = VietorisRips(len(X), 2)
+    loss = TotalPersistenceLoss(dims=(0, 1))
+    sig = total_order(fam.filtration(X))
+    value, g, dgm = vanilla_gradient(fam, X, loss)
+    assert not {"simplices", "index"} & vars(fam.complex).keys()
+    # the same set-up and step once the list and the lookup exist
+    assert len(fam.complex.simplices) == len(fam.complex.index) == len(fam.complex)
+    sig2 = total_order(fam.filtration(X))
+    value2, g2, dgm2 = vanilla_gradient(fam, X, loss)
+    assert (sig2, sig2.tied) == (sig, sig.tied)
+    assert value2 == value
+    np.testing.assert_array_equal(g2, g)
+    assert dgm2.pairs == dgm.pairs
+
+
 def test_pairing_invariant_under_monotone_rescaling(rng):
     f = random_filtration(rng)
     g = Filtration(f.complex, 3.0 * f.values + 1.0)
@@ -247,6 +269,19 @@ def test_transpose_adjacent_matches_rereduction(rng):
                 vals[cx.index[s]] = pos
             fresh = reduce(Filtration(cx, vals), with_basis=False)
             assert fresh.pairing().pairs == dec.pairing().pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(3, 6),
+       st.lists(st.integers(0, 10_000), min_size=1, max_size=25))
+def test_transpositions_keep_the_decomposition_invariants(seed, n_vertices, moves):
+    dec = reduce(random_filtration(np.random.default_rng(seed), n_vertices=n_vertices))
+    for move in moves:
+        i = move % (len(dec) - 1)
+        a, b = dec.simplices[i], dec.simplices[i + 1]
+        if not (set(a) <= set(b) or set(b) <= set(a)):
+            transpose_adjacent(dec, i)
+            check_decomposition(dec)
 
 
 def test_transpose_is_involution(rng):
