@@ -7,7 +7,7 @@ There are two paths, both on one column reducer (``_reduce_columns``):
   Columns of R and V are stored as sets of row indices; U is stored
   row-major.  Row/column duals are built lazily so that an adjacent
   transposition costs time proportional to the local degree rather than
-  the matrix size.  Vineyard updates and moving sets need it.
+  the matrix size.  Vineyard updates and the fast moving sets need it.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time and skips the columns already
@@ -143,6 +143,9 @@ class ReducedDecomposition:
         )
         self.lowof: list[int | None] = [max(c) if c else None for c in self.R]
         self._Rrows = self._Vrows = self._Ucols = None
+        # data derived from the current order for moving-set queries (the
+        # reduced anti-transpose, a perp basis); a transposition drops it
+        self._cache: dict = {}
 
     # -- queries ------------------------------------------------------------
 
@@ -311,6 +314,7 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
         raise ValueError(f"cannot transpose incident simplices {a} and {b}")
     dec._require_basis()
     dec._ensure_duals()
+    dec._cache.clear()
 
     dirty: set[int] = set()
     if i in dec.V[j]:

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import Filtration, NotMonotoneError, Simplex, boundary, total_order
+from .complexes import NotMonotoneError, Simplex, boundary, total_order
 from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
 from .metrics import fg_distance
 from .reduction import (
     ReducedDecomposition,
+    _reduce_columns,
     build_diagram,
     perp_basis,
     reduce,
-    transpose_adjacent,
 )
 
 
@@ -237,80 +237,154 @@ def _clip_target(dec: ReducedDecomposition, tau: Simplex, t: float) -> float:
     return t
 
 
+class _Coreduction:
+    """The anti-transposed boundary matrix of a decomposition, reduced on
+    demand.  Index a stands for the simplex at position n-1-a; column a holds
+    the anti-indices of its cofaces.  The pivots are the decomposition's own
+    pairs, reversed (de Silva, Morozov and Vejdemo-Johansson, Dualities in
+    persistent (co)homology, 2011), so a column is reduced only until its
+    lowest one is its partner, and only when a lookup reaches it.  It holds
+    the decomposition's order but not the decomposition."""
+
+    def __init__(self, dec: ReducedDecomposition):
+        n = self.n = len(dec.simplices)
+        self.simplices, self.pos, self.complex = dec.simplices, dec.pos, dec.complex
+        self.pivot = {n - 1 - c: n - 1 - low for low, c in dec.pivot.items()}
+        self.partner = {c: row for row, c in self.pivot.items()}
+        self.columns: dict[int, set[int]] = {}
+
+    def raw(self, a: int) -> set[int]:
+        n, pos = self.n, self.pos
+        return {n - 1 - pos[c] for c in self.complex.cofaces(self.simplices[n - 1 - a])}
+
+    def reduced(self, a: int) -> set[int]:
+        """Column a, reduced until its lowest one is its partner; the
+        columns it needs are reduced first, without recursion."""
+        done = self.columns
+        stack, partial = [a], {}
+        while stack:
+            c = stack[-1]
+            if c in done:
+                stack.pop()
+                continue
+            col = partial.get(c)
+            if col is None:
+                col = partial[c] = self.raw(c)
+            while (low := max(col)) != self.partner[c]:
+                k = self.pivot[low]  # k < c: an earlier column claims low
+                if k not in done:
+                    stack.append(k)
+                    break
+                col ^= done[k]
+            else:
+                done[c] = partial.pop(c)
+                stack.pop()
+        return done[a]
+
+
+def _cached(dec: ReducedDecomposition, key: str, build):
+    """Per-decomposition value, built on first use and dropped by
+    ``transpose_adjacent``."""
+    if key not in dec._cache:
+        dec._cache[key] = build()
+    return dec._cache[key]
+
+
+def _reduce_prefix(col: set[int], bound: int, pivot: dict, reduced, extra: dict) -> set[int]:
+    """Reduce col against the reduced columns before ``bound`` (pivot maps a
+    lowest one to its column, reduced(k) reads column k) and the extra
+    columns keyed by their lowest ones.  Mutates and returns col."""
+    while col:
+        low = max(col)
+        k = pivot.get(low)
+        if k is not None and k < bound:
+            col ^= reduced(k)
+        elif low in extra:
+            col ^= extra[low]
+        else:
+            break
+    return col
+
+
 def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     """Simplices that must move along when tau's value moves to t.
 
-    Each same-dimension candidate between f(tau) and t is transposed across
-    the moving block and joins it exactly when the swap steals tau's pairing.
-    The pairing only depends on the order within each dimension, so the walk
-    runs on a scratch decomposition whose simplices are sorted by dimension
-    first; there the block is contiguous and every crossing is a sequence of
-    plain adjacent transpositions."""
+    The walk takes the same-dimension simplices next to tau toward t one at a
+    time, and stops at the first one not strictly between f(tau) and the
+    (clipped) target.  Each crosses the moving block, and joins it exactly
+    when the crossing steals tau's pairing with its partner sigma.
+
+    A crossing is decided by one prefix column reduction, in the matrix
+    where tau is a column: the boundary matrix D for a death, whose reduced
+    columns before a bound are the decomposition's own; for a birth the
+    anti-transpose of D, which has the same pairs (de Silva, Morozov and
+    Vejdemo-Johansson, 2011), reduced on demand.  The pairing is unique, and
+    sigma pairs with tau exactly when tau's column, reduced against the
+    columns before it, has its lowest one at sigma.
+    - A candidate that enters tau's prefix (a death pushed up, a birth
+      pushed down) joins iff its column, reduced against the columns before
+      tau and the candidates already crossed, has its lowest one at sigma.
+    - A candidate that leaves tau's prefix (a death pushed down, a birth
+      pushed up) joins iff tau's column, reduced against the columns before
+      the candidate and the block's members, no longer has its lowest one
+      at sigma.
+    No basis is read, and the decomposition is not changed."""
     tau = tuple(tau)
     pos_tau = dec.position(tau)
     part = dec.partner(pos_tau)
     if part is None:
         raise ValueError(f"{tau} is essential; it has no finite pair to preserve")
-    sigma = dec.simplices[part]
-    p = len(tau) - 1
     v0 = float(dec.values[pos_tau])
     t = _clip_target(dec, tau, t)
     up = t > v0
-    value_at = {s: float(dec.values[q]) for q, s in enumerate(dec.simplices)}
-
-    scratch = getattr(dec, "_dim_sorted_scratch", None)
-    if scratch is None:
-        cx = dec.complex
-        ranks = sorted(range(len(dec.simplices)),
-                       key=lambda q: (len(dec.simplices[q]), q))
-        vals = np.empty(len(ranks))
-        for r, q in enumerate(ranks):
-            vals[cx.index[dec.simplices[q]]] = r
-        scratch = reduce(Filtration(cx, vals))
-        dec._dim_sorted_scratch = scratch
-
-    lo = hi = scratch.position(tau)
+    window = []
+    step = 1 if up else -1
+    q = pos_tau + step
+    while 0 <= q < len(dec.simplices):
+        if len(dec.simplices[q]) == len(tau):
+            v = float(dec.values[q])
+            if not (v0 < v < t if up else t < v < v0):
+                break
+            window.append(q)
+        q += step
     X = {tau}
-    log: list[int] = []
+    if not window:
+        return X
 
-    def do(i):
-        transpose_adjacent(scratch, i)
-        log.append(i)
+    death = dec.is_death(pos_tau)
+    if death:
+        index, pivot, reduced = (lambda q: q), dec.pivot, dec.R.__getitem__
+        raw = lambda c: {dec.pos[f] for f in boundary(dec.simplices[c])}
+    else:
+        cores = _cached(dec, "coreduction", lambda: _Coreduction(dec))
+        n = len(dec.simplices)
+        index, pivot, reduced, raw = (lambda q: n - 1 - q), cores.pivot, cores.reduced, cores.raw
+    c_tau, r_sigma = index(pos_tau), index(part)
 
-    n = len(scratch.simplices)
-    while True:
-        q = hi + 1 if up else lo - 1
-        if q < 0 or q >= n:
-            break
-        s = scratch.simplices[q]
-        if len(s) - 1 != p:
-            break
-        v = value_at[s]
-        if (up and not v0 < v < t) or (not up and not t < v < v0):
-            break
-        # cross s over the block
-        seq = list(range(hi, lo - 1, -1)) if up else list(range(lo - 1, hi))
-        for i in seq:
-            do(i)
-        new_part = scratch.partner(scratch.position(sigma))
-        joined = new_part is None or scratch.simplices[new_part] != tau
-        if joined:
-            for i in reversed(seq):
-                do(i)
-            X.add(s)
-            if up:
-                hi += 1
-            else:
-                lo -= 1
-        else:
-            if up:
-                lo += 1
-                hi += 1
-            else:
-                lo -= 1
-                hi -= 1
-    for i in reversed(log):
-        transpose_adjacent(scratch, i)
+    def pairs_with_sigma(col):
+        return bool(col) and max(col) == r_sigma
+
+    if death == up:
+        # candidates enter tau's prefix; the crossed ones stay in it
+        crossed: dict[int, set[int]] = {}
+        for q in window:
+            col = _reduce_prefix(raw(index(q)), c_tau, pivot, reduced, crossed)
+            if pairs_with_sigma(col):
+                X.add(dec.simplices[q])
+            elif col:
+                crossed[max(col)] = col
+        return X
+    # candidates leave tau's prefix; the block's members come before tau
+    members: list[int] = []
+    for q in window:
+        c, block = index(q), {}
+        for m in reversed(members):
+            col = _reduce_prefix(raw(m), c, pivot, reduced, block)
+            if col:
+                block[max(col)] = col
+        if not pairs_with_sigma(_reduce_prefix(raw(c_tau), c, pivot, reduced, block)):
+            members.append(c)
+            X.add(dec.simplices[q])
     return X
 
 
@@ -319,10 +393,11 @@ def moving_set_fast(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     anti-transpose counterparts.
 
     For a death simplex the candidates below/above are the nonzeros of the
-    V column / U row of tau; for a birth simplex the corresponding entries
-    of the perp decomposition.  The support is intersected with the open
-    window of same-dimension values between f(tau) and the (clipped)
-    target."""
+    V column / U row of tau (a decomposition reduced without them reduces
+    once more with them); for a birth simplex the corresponding entries of
+    the perp decomposition.  Both are built once per decomposition.  The
+    support is intersected with the open window of same-dimension values
+    between f(tau) and the (clipped) target."""
     tau = tuple(tau)
     pos_tau = dec.position(tau)
     if dec.partner(pos_tau) is None:
@@ -333,10 +408,13 @@ def moving_set_fast(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     up = t > v0
     n = len(dec.simplices)
     if dec.is_death(pos_tau):
-        dec._require_basis()
-        support = dec.U[pos_tau] if up else dec.V[pos_tau]
+        V, U = dec.V, dec.U
+        if V is None:  # reduced without a basis: reduce once more with one
+            V, U = _cached(dec, "basis",
+                           lambda: _reduce_columns(dec.boundary_columns(), True)[1:3])
+        support = U[pos_tau] if up else V[pos_tau]
     else:
-        Vp, Up = perp_basis(dec)
+        Vp, Up = _cached(dec, "perp_basis", lambda: perp_basis(dec))
         pp = n - 1 - pos_tau
         sup_perp = Vp[pp] if up else Up[pp]
         support = {n - 1 - q for q in sup_perp}
@@ -375,7 +453,7 @@ def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0,
     """
     theta = np.asarray(theta, dtype=float)
     filt = family.filtration(theta)
-    dec = reduce(filt, with_basis=True)
+    dec = reduce(filt, with_basis=variant == "fast")
     dgm = build_diagram(filt, dec.pairing(), drop_zero_tol=PRUNE_TOL)
     value, _ = loss.evaluate(dgm)
     terms = loss.terms(dgm, push_scale)
@@ -501,10 +579,15 @@ def diffeo_interpolate(X: np.ndarray, grad: np.ndarray, sigma: float,
 
     Coefficients solve (K + ridge*I) alpha = grad on the support of the
     gradient, K_ij = exp(-||x_i-x_j||^2 / (2 sigma^2)).  A singular system at
-    ridge=0 falls back to ridge=1e-10 with a warning.
+    ridge=0 falls back to ridge=1e-10 with a warning.  X and grad must be
+    point clouds of one shape (n, d); anything else raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     grad = np.asarray(grad, dtype=float)
+    if X.ndim != 2 or grad.shape != X.shape:
+        raise ValueError(
+            f"diffeo_interpolate needs points and a gradient of one shape (n, d);"
+            f" got points of shape {X.shape} and a gradient of shape {grad.shape}")
     support = np.where(np.linalg.norm(grad, axis=1) > 0)[0]
     if len(support) == 0:
         return GaussianField(X[:0], grad[:0], sigma)

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from topo_opt.filtrations import RawValues, VietorisRips
+from topo_opt import triangulated_torus
+from topo_opt.filtrations import LowerStar, RawValues, VietorisRips
 from topo_opt.losses import DiagramLoss, TotalPersistenceLoss
 from topo_opt.optim import (
     METHODS,
@@ -157,6 +158,16 @@ def test_descend_rejects_non_finite_theta0(bad):
     fam = VietorisRips(n_points=5, max_dim=1)
     with pytest.raises(ValueError, match="theta0"):
         descend(fam, X, TotalPersistenceLoss(dims=(0,)), DescentConfig(steps=2))
+
+
+def test_diffeo_descent_on_vertex_values_names_the_shape():
+    """Kernel interpolation moves points; a lower-star family's 1-D vertex
+    values are not a point cloud, and the step says so."""
+    fam = LowerStar(triangulated_torus())
+    theta = np.random.default_rng(0).uniform(size=9)
+    cfg = DescentConfig(method="diffeo", steps=2, lr=0.01)
+    with pytest.raises(ValueError, match=r"shape \(9,\)"):
+        descend(fam, theta, TotalPersistenceLoss(dims=(0, 1)), cfg)
 
 
 def test_descent_aborted_when_an_update_overflows_theta():

@@ -1,19 +1,33 @@
 """Gradient schemes: min-norm point, strata sampling, moving sets,
 big-step and continuation updates, kernel interpolation."""
+import gc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import topo_opt.filtrations
 import topo_opt.schemes
 from topo_opt import complete_complex
+from topo_opt.complexes import Filtration
+from topo_opt.experiments import circle_loss, gen_circle
 from topo_opt.filtrations import RawValues, VietorisRips
 from topo_opt.losses import DiagramLoss, DistanceToTargetLoss, TotalPersistenceLoss
 from topo_opt.optim import goldstein_check
-from topo_opt.reduction import ReducedDecomposition, betti_numbers, build_diagram, reduce
+from topo_opt.reduction import (
+    ReducedDecomposition,
+    betti_numbers,
+    build_diagram,
+    persistence_pairs,
+    reduce,
+    transpose_adjacent,
+)
 from topo_opt.schemes import (
     StratifiedConfig,
+    _clip_target,
     big_step_gradient,
     continuation_step,
     diffeo_interpolate,
@@ -180,7 +194,6 @@ def test_moving_set_essential_raises(rng):
 def test_moving_set_clips_at_coface_with_warning():
     # filled triangle: pushing an edge above the triangle value must clip
     from topo_opt import build_complex
-    from topo_opt.complexes import Filtration
 
     cx = build_complex([(0, 1, 2)])
     vals = np.array([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0])
@@ -236,6 +249,212 @@ def test_moving_set_variant_dispatch(rng):
         )
     with pytest.raises(ValueError):
         moving_set(dec, tau, 0.0, "bogus")
+
+
+def oracle_moving_set(dec, tau, t):
+    """The moving-set walk with every crossing decided from scratch: the
+    permuted order is re-paired by ``persistence_pairs``, and a candidate
+    joins when tau loses its partner.  Reads only the decomposition's order
+    and values."""
+    cx = dec.complex
+    tau = tuple(tau)
+    p = len(tau) - 1
+    seq = [s for s in dec.simplices if len(s) == p + 1]
+
+    def partner_of_tau(order_p):
+        # the pairing depends only on the order within each dimension, so
+        # sort by dimension first; the values are the ranks of that order
+        rank = {s: k for k, s in enumerate(order_p)}
+        key = lambda s: (len(s), rank.get(s, dec.position(s)))
+        vals = np.empty(len(cx))
+        for r, s in enumerate(sorted(dec.simplices, key=key)):
+            vals[cx.index[s]] = r
+        pairing = persistence_pairs(Filtration(cx, vals))
+        for b, d in pairing.pairs.get(p - 1, []) + pairing.pairs.get(p, []):
+            if tau in (b, d):
+                return d if b == tau else b
+        return None
+
+    sigma = partner_of_tau(seq)
+    if sigma is None:
+        raise ValueError("essential")
+    v0 = dec.value_of(tau)
+    t = _clip_target(dec, tau, t)
+    up = t > v0
+    lo = hi = seq.index(tau)
+    X = {tau}
+    while True:
+        q = hi + 1 if up else lo - 1
+        if not 0 <= q < len(seq):
+            break
+        s = seq[q]
+        v = dec.value_of(s)
+        if not (v0 < v < t if up else t < v < v0):
+            break
+        block = seq[lo:hi + 1]
+        crossed = (seq[:lo] + [s] + block + seq[q + 1:] if up
+                   else seq[:q] + block + [s] + seq[hi + 1:])
+        if partner_of_tau(crossed) == sigma:
+            seq = crossed
+            lo, hi = (lo + 1, hi + 1) if up else (lo - 1, hi - 1)
+        else:
+            X.add(s)
+            lo, hi = (lo, hi + 1) if up else (lo - 1, hi)
+    return X
+
+
+def check_against_oracle(dec, rng):
+    """Query every finite simplex once up and once down; returns the cases
+    (death?, up?) whose set has more than one member."""
+    grown = set()
+    for q in finite_positions(dec):
+        tau = dec.simplices[q]
+        for sign in (1.0, -1.0):
+            t = float(dec.values[q] + sign * rng.uniform(0.05, 1.5))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = moving_set_naive(dec, tau, t)
+                want = oracle_moving_set(dec, tau, t)
+            assert got == want, (tau, t)
+            if len(got) > 1:
+                grown.add((dec.is_death(q), sign > 0))
+    return grown
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 7))
+def test_moving_set_naive_matches_repairing_oracle(seed, n_vertices):
+    rng = np.random.default_rng(seed)
+    check_against_oracle(reduce(random_filtration(rng, n_vertices=n_vertices),
+                                with_basis=False), rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(4, 8))
+def test_moving_set_naive_matches_repairing_oracle_on_tied_clouds(seed, n_points):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.uniform(0.0, 1.0, size=(n_points, 2)), 1)
+    filt = VietorisRips(n_points=n_points, max_dim=2).filtration(X)
+    check_against_oracle(reduce(filt, with_basis=False), rng)
+
+
+def test_oracle_comparison_sees_every_case_grow():
+    """The oracle tests are not vacuous: sets with more than one member
+    occur for births and deaths pushed both ways."""
+    rng = np.random.default_rng(5)
+    grown = set()
+    for _ in range(10):
+        grown |= check_against_oracle(reduce(random_filtration(rng), with_basis=False), rng)
+    assert grown == {(d, u) for d in (False, True) for u in (False, True)}
+
+
+def test_moving_sets_follow_transpositions(rng):
+    """A query after transpositions answers for the new order: it equals the
+    same query on a fresh decomposition of that order with the same values.
+    (Fast death queries read V and U, which transpositions keep as another
+    valid basis than a fresh reduction's, so only its birth queries, read
+    off the perp basis of the order, are compared.)"""
+    for _ in range(30):
+        f = random_filtration(rng, n_vertices=6)
+        dec = reduce(f)
+        n = len(dec)
+        targets = {q: float(dec.values[q] + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5))
+                   for q in range(n)}
+
+        def queries(d):
+            out = []
+            for q, t in targets.items():
+                tau = d.simplices[q]
+                if d.partner(q) is None:
+                    continue
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    out.append(moving_set_naive(d, tau, t))
+                    if not d.is_death(q):
+                        out.append(moving_set_fast(d, tau, t))
+            return out
+
+        queries(dec)
+        moves = 0
+        while moves < 5:
+            i = int(rng.integers(0, n - 1))
+            a, b = dec.simplices[i], dec.simplices[i + 1]
+            if not (set(a) <= set(b) or set(b) <= set(a)):
+                transpose_adjacent(dec, i)
+                moves += 1
+        ranks = np.empty(n)
+        for pos, s in enumerate(dec.simplices):
+            ranks[f.complex.index[s]] = pos
+        fresh = reduce(Filtration(f.complex, ranks))
+        fresh.values = dec.values.copy()
+        assert fresh.simplices == dec.simplices
+        assert queries(dec) == queries(fresh)
+
+
+def test_moving_set_fast_without_basis_reduces_one(rng):
+    for _ in range(10):
+        f = random_filtration(rng, n_vertices=6)
+        with_basis, without = reduce(f), reduce(f, with_basis=False)
+        for q in finite_positions(with_basis):
+            tau = with_basis.simplices[q]
+            for t in (float(with_basis.values[q] - 1.0), float(with_basis.values[q] + 1.0)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    assert moving_set_fast(without, tau, t) == moving_set_fast(with_basis, tau, t)
+        assert without.V is None
+
+
+def test_moving_set_caches_keep_no_cycle(rng):
+    """A decomposition whose caches are filled is freed by reference
+    counting alone: no cached object refers back to it."""
+    for with_basis in (True, False):
+        dec = reduce(random_filtration(rng), with_basis=with_basis)
+        gc.disable()
+        try:
+            for q in finite_positions(dec):
+                for t in (float(dec.values[q] - 1.0), float(dec.values[q] + 1.0)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        moving_set_naive(dec, dec.simplices[q], t)
+                        moving_set_fast(dec, dec.simplices[q], t)
+            assert dec._cache
+            ref = weakref.ref(dec)
+            del dec
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def test_naive_big_step_on_the_circle_neither_transposes_nor_builds_a_basis(monkeypatch):
+    def no_transposition(*args, **kwargs):
+        raise AssertionError("transpose_adjacent called")
+
+    reduce_columns = topo_opt.reduction._reduce_columns
+
+    def without_basis(cols, with_basis, pivot=None):
+        assert not with_basis, "a basis V was built"
+        return reduce_columns(cols, with_basis, pivot)
+
+    sizes = []
+    naive = topo_opt.schemes.moving_set_naive
+
+    def counted(*args):
+        members = naive(*args)
+        sizes.append(len(members))
+        return members
+
+    monkeypatch.setattr(topo_opt.reduction, "transpose_adjacent", no_transposition)
+    monkeypatch.setattr(topo_opt.schemes, "transpose_adjacent", no_transposition,
+                        raising=False)
+    monkeypatch.setattr(topo_opt.reduction, "_reduce_columns", without_basis)
+    monkeypatch.setattr(topo_opt.schemes, "moving_set_naive", counted)
+    X = gen_circle(32, outlier=True, seed=0)
+    loss, _ = circle_loss()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        big_step_gradient(VietorisRips(len(X), max_dim=2), X, loss,
+                          push_scale=0.128, variant="naive")
+    assert sizes and max(sizes) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +596,13 @@ def test_diffeo_singular_kernel_falls_back_with_warning():
     with pytest.warns(UserWarning, match="singular kernel"):
         field = diffeo_interpolate(X, grad, sigma=0.5, ridge=0.0)
     assert np.isfinite(field(X)).all()
+
+
+@pytest.mark.parametrize("X_shape, grad_shape", [((9,), (9,)), ((4, 2), (4,)),
+                                                  ((4, 2), (4, 3))])
+def test_diffeo_rejects_gradients_that_are_not_point_clouds(X_shape, grad_shape):
+    with pytest.raises(ValueError, match=r"shape \(n, d\)"):
+        diffeo_interpolate(np.ones(X_shape), np.ones(grad_shape), sigma=0.5)
 
 
 def test_diffeo_empty_gradient(rng):
