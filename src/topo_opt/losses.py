@@ -43,6 +43,21 @@ def simplification_loss(points, eta: float):
     return value, grad
 
 
+def matched_partners(points, target, q: float = 2.0):
+    """Optimal partners of diagram points against a target diagram: row i
+    of the partners is the target point matched to points[i], or the
+    diagonal projection of points[i] when it is matched to the diagonal.
+    Returns (FG_q distance, partners, matching)."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    tgt = np.asarray(target, dtype=float).reshape(-1, 2)
+    dist, matching = fg_distance(pts, tgt, q=q)
+    m = 0.5 * (pts[:, 0] + pts[:, 1])
+    partners = np.column_stack([m, m])
+    for i, j in matching.matched():
+        partners[i] = tgt[j]
+    return dist, partners, matching
+
+
 def distance_to_target(points, target, q: float = 2.0):
     """1/2 * FG_q(alpha, beta)^2 against a fixed target diagram beta.
 
@@ -51,19 +66,8 @@ def distance_to_target(points, target, q: float = 2.0):
     diagonal projection.  Returns (value, grad, matching).
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    tgt = np.asarray(target, dtype=float).reshape(-1, 2)
-    dist, matching = fg_distance(pts, tgt, q=q)
-    value = 0.5 * dist**2
-    grad = np.zeros_like(pts)
-    for i, j in matching.pairs:
-        if i < 0:
-            continue
-        if j >= 0:
-            grad[i] = pts[i] - tgt[j]
-        else:
-            m = 0.5 * (pts[i, 0] + pts[i, 1])
-            grad[i] = pts[i] - np.array([m, m])
-    return value, grad, matching
+    dist, partners, matching = matched_partners(pts, target, q)
+    return 0.5 * dist**2, pts - partners, matching
 
 
 def singleton_loss(points, index: int, target):
@@ -93,25 +97,29 @@ def linear_vectorization(points, grid, bandwidth: float):
     return w.sum(axis=1), jac
 
 
+def chain_rule(family, theta, partials) -> np.ndarray:
+    """sum partial * grad_theta f(s) over the (simplex s, partial) pairs,
+    accumulated in their order, with the simplex-value gradients supplied
+    by the filtration family at theta."""
+    out = np.zeros_like(theta)
+    for s, partial in partials:
+        for k, v in family.simplex_gradient(theta, s).items():
+            out[k] += partial * v
+    return out
+
+
 def compose_gradient(family, theta, dgm: PersistenceDiagram, grads: dict[int, np.ndarray]):
     """Lift diagram gradients to the filtration parameter.
 
     grad_theta = sum_i dL/db_i * grad_theta f(birth_i) + dL/dd_i * grad_theta
-    f(death_i), with the simplex-value gradients supplied by the filtration
-    family at theta.
+    f(death_i); zero partials are skipped.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros_like(theta)
-    for dim, G in grads.items():
-        pairs = dgm.pairs.get(dim, [])
-        for (gb, gd), (bs, ds) in zip(np.asarray(G, dtype=float), pairs):
-            if gb != 0.0:
-                for k, v in family.simplex_gradient(theta, bs).items():
-                    out[k] += gb * v
-            if gd != 0.0:
-                for k, v in family.simplex_gradient(theta, ds).items():
-                    out[k] += gd * v
-    return out
+    partials = ((s, g)
+                for dim, G in grads.items()
+                for row, pair in zip(np.asarray(G, dtype=float), dgm.pairs.get(dim, []))
+                for s, g in zip(pair, row) if g != 0.0)
+    return chain_rule(family, theta, partials)
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +207,11 @@ class DistanceToTargetLoss(DiagramLoss):
         return v, {self.dims[0]: g}
 
     def terms(self, dgm, push_scale: float = 1.0):
-        pts = dgm.ordinary(self.dims[0])
-        _, _, matching = distance_to_target(pts, self.target, self.q)
-        out = []
-        for i, j in matching.pairs:
-            if i < 0:
-                continue
-            if j >= 0:
-                tgt = self.target[j]
-            else:
-                m = 0.5 * (pts[i, 0] + pts[i, 1])
-                tgt = np.array([m, m])
-            bs, ds = dgm.pairs[self.dims[0]][i]
-            out.append(
-                SingletonTerm(self.dims[0], i, bs, ds, tgt, pts[i] - tgt)
-            )
-        return out
+        dim = self.dims[0]
+        pts = dgm.ordinary(dim)
+        _, partners, _ = matched_partners(pts, self.target, self.q)
+        return [SingletonTerm(dim, i, *dgm.pairs[dim][i], tgt, pts[i] - tgt)
+                for i, tgt in enumerate(partners)]
 
 
 class SingletonLoss(DiagramLoss):

@@ -31,12 +31,6 @@ class PartialMatching:
     def matched(self):
         return [(i, j) for i, j in self.pairs if i >= 0 and j >= 0]
 
-    def to_diagonal_a(self):
-        return [i for i, j in self.pairs if i >= 0 and j < 0]
-
-    def to_diagonal_b(self):
-        return [j for i, j in self.pairs if i < 0 and j >= 0]
-
 
 def diagonal_distance(points: np.ndarray, inner: float) -> np.ndarray:
     """Distance of each point to the diagonal in the inner q'-norm:

@@ -5,9 +5,10 @@ There are two paths, both on one column reducer (``_reduce_columns``):
 - Homology with a basis (``reduce``): R = D * V over F2 with R reduced
   (distinct lowest ones), V upper-triangular invertible, and U = V^{-1}.
   Columns of R and V are stored as sets of row indices; U is stored
-  row-major.  Row/column duals are built lazily so that an adjacent
-  transposition costs time proportional to the local degree rather than
-  the matrix size.  Vineyard updates and the fast moving sets need it.
+  row-major.  An adjacent transposition (``transpose_adjacent``) updates
+  all three in place with O(n) set operations each, the bound of
+  Cohen-Steiner, Edelsbrunner and Morozov (Vines and vineyards, 2006).
+  Vineyard updates and the fast moving sets need the basis.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time and skips the columns already
@@ -142,7 +143,6 @@ class ReducedDecomposition:
             self.boundary_columns(), with_basis
         )
         self.lowof: list[int | None] = [max(c) if c else None for c in self.R]
-        self._Rrows = self._Vrows = self._Ucols = None
         # data derived from the current order for moving-set queries (the
         # reduced anti-transpose, a perp basis); a transposition drops it
         self._cache: dict = {}
@@ -190,75 +190,27 @@ class ReducedDecomposition:
         """The boundary matrix D in the current order, as row-index sets."""
         return [{self.pos[f] for f in boundary(s)} for s in self.simplices]
 
-    # -- duals and mutation -------------------------------------------------
+    # -- mutation -----------------------------------------------------------
 
     def _require_basis(self):
         if self.V is None:
             raise ValueError("decomposition was reduced without basis matrices")
 
-    def _ensure_duals(self):
-        if self._Rrows is not None:
-            return
-        self._require_basis()
-        n = len(self.simplices)
-        self._Rrows = [set() for _ in range(n)]
-        self._Vrows = [set() for _ in range(n)]
-        self._Ucols = [set() for _ in range(n)]
-        for c in range(n):
-            for r in self.R[c]:
-                self._Rrows[r].add(c)
-            for r in self.V[c]:
-                self._Vrows[r].add(c)
-            for c2 in self.U[c]:
-                self._Ucols[c2].add(c)
-
-    @staticmethod
-    def _toggle(cols, rows, r, c):
-        if r in cols[c]:
-            cols[c].discard(r)
-            rows[r].discard(c)
-        else:
-            cols[c].add(r)
-            rows[r].add(c)
-
     def _col_add(self, src: int, dst: int):
         """Column op R_dst += R_src, V_dst += V_src, hence U row src += row dst."""
-        for r in list(self.R[src]):
-            self._toggle(self.R, self._Rrows, r, dst)
-        for r in list(self.V[src]):
-            self._toggle(self.V, self._Vrows, r, dst)
-        for c in list(self.U[dst]):
-            # U row-major: toggle entry (src, c)
-            if c in self.U[src]:
-                self.U[src].discard(c)
-                self._Ucols[c].discard(src)
-            else:
-                self.U[src].add(c)
-                self._Ucols[c].add(src)
+        self.R[dst] ^= self.R[src]
+        self.V[dst] ^= self.V[src]
+        self.U[src] ^= self.U[dst]
 
     @staticmethod
-    def _swap_labels(cols, rows, i, j):
-        """Swap row and column labels i <-> j in a (cols, rows) pair."""
-        diff = cols[i].symmetric_difference(cols[j])
-        cols[i], cols[j] = cols[j], cols[i]
-        for r in diff:
-            s = rows[r]
-            if i in s:
-                s.discard(i)
-                s.add(j)
-            else:
-                s.discard(j)
-                s.add(i)
-        diff = rows[i].symmetric_difference(rows[j])
-        rows[i], rows[j] = rows[j], rows[i]
-        for c in diff:
-            s = cols[c]
-            if i in s:
-                s.discard(i)
-                s.add(j)
-            else:
-                s.discard(j)
-                s.add(i)
+    def _conjugate(M, i: int, j: int):
+        """Swap labels i <-> j of a square matrix held as index sets (columns
+        or rows alike): swap M[i] and M[j], then i and j inside every set."""
+        M[i], M[j] = M[j], M[i]
+        ij = {i, j}
+        for s in M:
+            if (i in s) != (j in s):
+                s ^= ij
 
     def _mark_dirty(self, c: int, dirty: set):
         low = self.lowof[c]
@@ -303,8 +255,9 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
     """Swap the simplices at positions i and i+1, updating R, V, U in place.
 
     Rejects face/coface pairs (the swapped order would not be a filtration
-    order).  Runs in time linear in the local support of the touched rows
-    and columns.  Returns the same decomposition object.
+    order), positions outside 0..n-2, and a decomposition reduced without a
+    basis; a rejected call changes nothing.  Runs in O(n) set operations
+    per matrix.  Returns the same decomposition object.
     """
     j = i + 1
     if not 0 <= i < len(dec.simplices) - 1:
@@ -313,7 +266,6 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
     if is_face(a, b) or is_face(b, a):
         raise ValueError(f"cannot transpose incident simplices {a} and {b}")
     dec._require_basis()
-    dec._ensure_duals()
     dec._cache.clear()
 
     dirty: set[int] = set()
@@ -325,16 +277,16 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
     dec._mark_dirty(i, dirty)
     dec._mark_dirty(j, dirty)
 
-    dec._swap_labels(dec.R, dec._Rrows, i, j)
-    dec._swap_labels(dec.V, dec._Vrows, i, j)
-    dec._swap_labels(dec._Ucols, dec.U, i, j)
+    for M in (dec.R, dec.V, dec.U):
+        dec._conjugate(M, i, j)
     dec.simplices[i], dec.simplices[j] = dec.simplices[j], dec.simplices[i]
     dec.values[i], dec.values[j] = dec.values[j], dec.values[i]
     dec.pos[dec.simplices[i]] = i
     dec.pos[dec.simplices[j]] = j
 
-    affected = {i, j} | set(dec._Rrows[i]) | set(dec._Rrows[j])
-    for c in affected:
+    # the columns that hold row i or j, whose lowest ones the swap relabelled
+    touched = {c for c, col in enumerate(dec.R) if i in col or j in col}
+    for c in touched | {i, j}:
         dec._mark_dirty(c, dirty)
     for c in sorted(dirty):
         if dec.lowof[c] is None:

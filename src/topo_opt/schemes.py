@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import NotMonotoneError, Simplex, boundary, total_order
-from .losses import PRUNE_TOL, DiagramLoss, compose_gradient
-from .metrics import fg_distance
+from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
 from .reduction import (
     ReducedDecomposition,
     _reduce_columns,
@@ -476,10 +475,7 @@ def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0,
                 continue
             for member in moving_set(dec, s, target, variant):
                 offer(member, partial, target)
-    g = np.zeros_like(theta)
-    for s, (_, partial) in assigned.items():
-        for k, v in family.simplex_gradient(theta, s).items():
-            g[k] += partial * v
+    g = chain_rule(family, theta, ((s, partial) for s, (_, partial) in assigned.items()))
     return value, g, dgm
 
 
@@ -502,25 +498,11 @@ def continuation_step(family, theta, targets: dict[int, np.ndarray],
     rows_J, rows_v = [], []
     for dim, target in targets.items():
         pts = dgm.ordinary(dim)
-        target = np.asarray(target, dtype=float).reshape(-1, 2)
-        _, matching = fg_distance(pts, target, q=q)
-        disp = np.zeros_like(pts)
-        for i, j in matching.pairs:
-            if i < 0:
-                continue
-            if j >= 0:
-                disp[i] = target[j] - pts[i]
-            else:
-                m = 0.5 * (pts[i, 0] + pts[i, 1])
-                disp[i] = np.array([m, m]) - pts[i]
+        _, partners, _ = matched_partners(pts, target, q)
+        disp = partners - pts
         for i, (bs, ds) in enumerate(dgm.pairs.get(dim, [])):
             for s, dv in ((bs, disp[i, 0]), (ds, disp[i, 1])):
-                row = np.zeros(theta.size)
-                for k, v in family.simplex_gradient(theta, s).items():
-                    flat = np.zeros_like(theta)
-                    flat[k] = v
-                    row += flat.ravel()
-                rows_J.append(row)
+                rows_J.append(chain_rule(family, theta, [(s, 1.0)]).ravel())
                 rows_v.append(dv)
     if not rows_J:
         return theta.copy(), dgm

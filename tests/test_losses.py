@@ -13,6 +13,7 @@ from topo_opt.losses import (
     compose_gradient,
     distance_to_target,
     linear_vectorization,
+    matched_partners,
     singleton_loss,
     total_persistence,
 )
@@ -189,3 +190,20 @@ def test_zero_persistence_points_pruned(rng):
     dgm = build_diagram(fam.filtration(X), drop_zero_tol=1e-12)
     pts = dgm.ordinary(0)
     assert np.all(pts[:, 1] - pts[:, 0] > 1e-12)
+
+
+def test_matched_partners_row_aligned(rng):
+    pts = np.sort(rng.uniform(0, 1, (6, 2)), axis=1)
+    target = np.array([[0.1, 0.9], [0.3, 0.5]])
+    dist, partners, matching = matched_partners(pts, target)
+    assert partners.shape == pts.shape
+    matched = dict(matching.matched())
+    assert 0 < len(matched) < len(pts)
+    for i, (b, d) in enumerate(pts):
+        if i in matched:
+            np.testing.assert_array_equal(partners[i], target[matched[i]])
+        else:
+            np.testing.assert_array_equal(partners[i], [0.5 * (b + d)] * 2)
+    value, grad, _ = distance_to_target(pts, target)
+    assert value == 0.5 * dist**2
+    np.testing.assert_array_equal(grad, pts - partners)

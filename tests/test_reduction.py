@@ -271,6 +271,33 @@ def test_transpose_adjacent_matches_rereduction(rng):
             assert fresh.pairing().pairs == dec.pairing().pairs
 
 
+def test_transpose_adjacent_rejections_change_nothing(rng):
+    f = random_filtration(rng)
+    dec = reduce(f)
+    n = len(dec)
+
+    def state(d):
+        return ([set(c) for c in d.R], dict(d.pivot), list(d.lowof), list(d.simplices))
+
+    before = state(dec)
+    for i in (-1, n - 1):
+        with pytest.raises(IndexError):
+            transpose_adjacent(dec, i)
+    incident = next(i for i in range(n - 1)
+                    if set(dec.simplices[i]) <= set(dec.simplices[i + 1]))
+    with pytest.raises(ValueError, match="incident"):
+        transpose_adjacent(dec, incident)
+    assert state(dec) == before
+
+    bare = reduce(f, with_basis=False)
+    before = state(bare)
+    legal = next(i for i in range(n - 1)
+                 if not set(bare.simplices[i]) <= set(bare.simplices[i + 1]))
+    with pytest.raises(ValueError, match="without basis"):
+        transpose_adjacent(bare, legal)
+    assert state(bare) == before
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.integers(3, 6),
        st.lists(st.integers(0, 10_000), min_size=1, max_size=25))
