@@ -241,7 +241,9 @@ class SingletonLoss(DiagramLoss):
 
 class EmptyDiagramDistanceLoss(DiagramLoss):
     """sign * FG_q(diagram, empty): the q-norm of persistences over sqrt(2)
-    style diagonal distances.  sign=-1 rewards persistent features."""
+    style diagonal distances.  sign=-1 rewards persistent features.  For
+    q = inf it is sign times the largest (d - b) / 2, whose gradient moves
+    the first point that attains it."""
 
     def __init__(self, dim: int = 1, q: float = 2.0, sign: float = -1.0):
         self.dims = (dim,)
@@ -252,6 +254,12 @@ class EmptyDiagramDistanceLoss(DiagramLoss):
         pts = dgm.ordinary(self.dims[0])
         if len(pts) == 0:
             return 0.0, {self.dims[0]: np.zeros((0, 2))}
+        if np.isinf(self.q):
+            dd = diagonal_distance(pts, np.inf)
+            i = int(np.argmax(dd))
+            grad = np.zeros_like(pts)
+            grad[i] = (-self.sign / 2.0, self.sign / 2.0)
+            return self.sign * float(dd[i]), {self.dims[0]: grad}
         dd = diagonal_distance(pts, self.q)
         total = float((dd**self.q).sum())
         dist = total ** (1.0 / self.q)

@@ -61,14 +61,14 @@ def fg_distance(
     (m1+m2) x (m1+m2) matrix, with zero cost diagonal-to-diagonal; the
     assignment is solved exactly and the total is taken to the 1/q power.
     """
-    if np.isinf(q):
-        return bottleneck_distance(alpha, beta)
-    if inner is None:
-        inner = q
     a = np.asarray(alpha, dtype=float).reshape(-1, 2)
     b = np.asarray(beta, dtype=float).reshape(-1, 2)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("fg_distance expects finite diagram points")
+    if np.isinf(q):
+        return bottleneck_distance(a, b)
+    if inner is None:
+        inner = q
     m1, m2 = len(a), len(b)
     n = m1 + m2
     if n == 0:

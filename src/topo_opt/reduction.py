@@ -1,11 +1,12 @@
 """Boundary-matrix reduction, persistence pairing, and transposition updates.
 
-There are two paths, both on one column reducer (``_reduce_columns``):
+There are two paths:
 
 - Homology with a basis (``reduce``): R = D * V over F2 with R reduced
   (distinct lowest ones), V upper-triangular invertible, and U = V^{-1}.
   Columns of R and V are stored as sets of row indices; U is stored
-  row-major.  An adjacent transposition (``transpose_adjacent``) updates
+  row-major.  The set reducer ``_reduce_columns`` serves it and
+  ``perp_basis``.  An adjacent transposition (``transpose_adjacent``) updates
   all three in place with O(n) set operations each, the bound of
   Cohen-Steiner, Edelsbrunner and Morozov (Vines and vineyards, 2006).
   Vineyard updates and the fast moving sets need the basis.
@@ -15,7 +16,9 @@ There are two paths, both on one column reducer (``_reduce_columns``):
   known to be paired.  Apparent pairs (a simplex and its earliest coface,
   when the simplex is that coface's latest face) are read off the
   complex's coboundary and facet arrays with numpy; only the other columns
-  are reduced.  It yields the same pairing as ``reduce(...).pairing()``.
+  are reduced, each held as a Python-int bitset over the anti-indices, so
+  a column addition is one xor and the lowest one is ``bit_length() - 1``.
+  It yields the same pairing as ``reduce(...).pairing()``.
 
 A ``PersistencePairing`` holds per-dimension arrays of complex positions
 (births, deaths, essential births); its simplex lists are built on first
@@ -99,22 +102,19 @@ class PersistenceDiagram:
         return sorted(set(self.points) | set(self.essential))
 
 
-def _reduce_columns(cols, with_basis: bool, pivot: dict[int, int] | None = None):
-    """Left-to-right reduction of the F2 columns cols[0], ..., cols[n-1],
-    n = len(cols) on entry (boundary columns for ``reduce``, anti-transposed
-    coboundary columns for ``perp_basis`` and ``persistence_pairs``).
+def _reduce_columns(cols, with_basis: bool):
+    """Left-to-right reduction of the F2 columns cols[0], ..., cols[n-1], held
+    as row-index sets (boundary columns for ``reduce``, anti-transposed
+    coboundary columns for ``perp_basis``).
 
-    ``pivot``, when given, holds lowest ones already claimed by columns that
-    need no reduction; their keys, n and up, are columns of ``cols`` too,
-    which it may build on first lookup.  Returns (R, V, U, pivot) with V as
-    columns, U as rows (V and U are None when with_basis is False), pivot
-    mapping lowest-one row -> column.
+    Returns (R, V, U, pivot) with V as columns, U as rows (V and U are None
+    when with_basis is False), pivot mapping lowest-one row -> column.
     """
     n = len(cols)
     R = cols
     V = [{j} for j in range(n)] if with_basis else None
     U = [{j} for j in range(n)] if with_basis else None
-    pivot = {} if pivot is None else pivot
+    pivot = {}
     for j in range(n):
         col = R[j]
         while col:
@@ -295,23 +295,21 @@ def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecompositio
 
 
 class _Coboundaries(dict):
-    """Columns of a compressed-row matrix (indptr, entries) as row-index
-    sets: key j holds row rows[j].  Keys below ``n_reduce``, the columns to
-    reduce, are built at once; the others on first lookup."""
+    """Columns of a compressed-row matrix (indptr, entries) as Python-int
+    bitsets, bit e set for entry e: key j holds row rows[j], built on first
+    lookup."""
 
-    def __init__(self, indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray,
-                 n_reduce: int):
+    def __init__(self, indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray):
         super().__init__()
         self.indptr, self.entries, self.rows = indptr, entries, rows
-        for j in range(n_reduce):
-            self[j] = self._column(j)
 
-    def _column(self, j: int) -> set[int]:
+    def __missing__(self, j: int) -> int:
         r = self.rows[j]
-        return set(self.entries[self.indptr[r]:self.indptr[r + 1]].tolist())
-
-    def __missing__(self, j: int) -> set[int]:
-        col = self[j] = self._column(j)
+        e = self.entries[self.indptr[r]:self.indptr[r + 1]]
+        bits = np.zeros(int(e.max()) + 1 if len(e) else 0, dtype=bool)
+        bits[e] = True
+        col = self[j] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                                       "little")
         return col
 
 
@@ -359,8 +357,12 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     tau, so sigma's column is reduced as it stands and pairs with tau.  Both
     extrema are taken over index arrays (the coboundary and the facets of
     the complex), the apparent pairs seed the pivots, and only the other
-    columns go through ``_reduce_columns``; an apparent column is built only
-    when a reduced column meets its pivot.
+    columns are reduced; an apparent column is built only when a reduced
+    column meets its pivot.  A column is a Python-int bitset with bit e set
+    for anti-index e: an addition is one xor and the pivot is
+    ``bit_length() - 1``, both in C, where a set column would need a scan
+    for its maximum after every addition (one column of a 50-point VR
+    complex can take over 100 additions and grow to thousands of entries).
     """
     cx = filtration.complex
     n = len(cx)
@@ -388,9 +390,18 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
         apparent[has] = latest == start + rows[has]
         rest = rows[~apparent]
         keys = np.concatenate([rest, rows[apparent]])
-        cols = _Coboundaries(indptr, entries, keys, len(rest))
+        cols = _Coboundaries(indptr, entries, keys)
         pivot = dict(zip(top[apparent].tolist(), range(len(rest), len(rows))))
-        _, _, _, pivot = _reduce_columns(cols, with_basis=False, pivot=pivot)
+        for j in range(len(rest)):
+            col = cols[j]
+            while col:
+                low = col.bit_length() - 1
+                k = pivot.get(low)
+                if k is None:
+                    pivot[low] = j
+                    cols[j] = col
+                    break
+                col ^= cols[k]
         births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
         deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
         partner[births] = deaths

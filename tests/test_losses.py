@@ -17,6 +17,7 @@ from topo_opt.losses import (
     singleton_loss,
     total_persistence,
 )
+from topo_opt.metrics import fg_distance
 from topo_opt.reduction import build_diagram
 
 
@@ -135,6 +136,25 @@ def test_empty_diagram_distance_fd(rng):
     np.testing.assert_allclose(grads[1], fd_loss_grad(value, pts), atol=1e-6)
     # negative sign rewards persistence: gradients push deaths upward
     assert np.all(grads[1][:, 1] < 0)
+
+
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_empty_diagram_distance_of_infinite_order(rng, sign):
+    loss = EmptyDiagramDistanceLoss(dim=1, q=np.inf, sign=sign)
+    for pts in ([[0.0, 3.0], [0.0, 1.0]], [[0.0, 0.5], [0.0, 0.2]],
+                rng.uniform(0, 1, size=(4, 2)) + [[0.0, 1.0]]):
+        pts = np.asarray(pts, dtype=float)
+        value, grads = loss.evaluate(FakeDiagram({1: pts}))
+        assert value == pytest.approx(sign * fg_distance(pts, np.empty((0, 2)),
+                                                         q=np.inf)[0], abs=1e-12)
+
+        def fd_value(x):
+            return (loss.evaluate(FakeDiagram({1: x}))[0],)
+
+        np.testing.assert_allclose(grads[1], fd_loss_grad(fd_value, pts), atol=1e-6)
+    value, grads = loss.evaluate(FakeDiagram({1: np.array([[0.0, 3.0], [0.0, 1.0]])}))
+    assert value == sign * 1.5
+    np.testing.assert_array_equal(grads[1], [[-sign / 2, sign / 2], [0.0, 0.0]])
 
 
 def test_compose_gradient_chain_rule(rng):

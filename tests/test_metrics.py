@@ -115,6 +115,15 @@ def test_lower_star_stability(rng):
             assert d <= np.abs(delta).max() + 1e-12
 
 
+@pytest.mark.parametrize("q", [2.0, np.inf])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_points_are_rejected_for_every_order(q, bad):
+    with pytest.raises(ValueError, match="finite diagram points"):
+        fg_distance([[0.0, bad]], np.empty((0, 2)), q=q)
+    with pytest.raises(ValueError, match="finite diagram points"):
+        fg_distance([[0.0, 1.0]], [[bad, 2.0]], q=q)
+
+
 def test_essential_points_dropped_silently():
     cx = build_complex([[0, 1]])
     f = Filtration(cx, np.array([0.0, 0.5, 1.0]))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import Filtration, boundary
+from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import VietorisRips
 from topo_opt.reduction import (
     betti_numbers,
@@ -171,6 +172,25 @@ def test_persistence_pairs_equals_reduction_on_integer_grids(coords, max_dim):
     assert_same_pairing(f)
     for tol in (0.0, 1e-12, 0.5):
         assert_diagram_reads_the_pairing(f, tol)
+
+
+@pytest.mark.parametrize("seed", [0, 6, 7, 9])
+def test_persistence_pairs_equals_reduction_on_circle_subsamples(seed):
+    # 50 of 2000 circle points, as a distributed or diffeo step draws them:
+    # 20,875 simplices, and one edge cocolumn takes 98 to 145 additions at
+    # these seeds, far more than on the small clouds above
+    X = gen_circle(2000, outlier=False, seed=0)
+    idx = np.sort(np.random.default_rng(seed).choice(len(X), 50, replace=False))
+    f = VietorisRips(len(X), max_dim=2).subsample(idx).filtration(X[idx])
+    assert_same_pairing(f)
+    got, want = persistence_pairs(f), reduce(f, with_basis=False).pairing()
+    for tol in (0.0, 1e-12):
+        a, b = build_diagram(f, got, tol), build_diagram(f, want, tol)
+        assert list(a.points) == list(b.points) and a.pairs == b.pairs
+        for dim in a.points:
+            assert a.points[dim].tobytes() == b.points[dim].tobytes()
+        for dim in a.essential:
+            assert a.essential[dim].tobytes() == b.essential[dim].tobytes()
 
 
 class RefusingIndex(dict):

@@ -431,9 +431,9 @@ def test_naive_big_step_on_the_circle_neither_transposes_nor_builds_a_basis(monk
 
     reduce_columns = topo_opt.reduction._reduce_columns
 
-    def without_basis(cols, with_basis, pivot=None):
+    def without_basis(cols, with_basis):
         assert not with_basis, "a basis V was built"
-        return reduce_columns(cols, with_basis, pivot)
+        return reduce_columns(cols, with_basis)
 
     sizes = []
     naive = topo_opt.schemes.moving_set_naive
