@@ -76,7 +76,6 @@ from .reduction import (
     persistence_pairs,
     read_diagram,
     reduce,
-    transpose_adjacent,
     write_diagram,
 )
 from .schemes import (

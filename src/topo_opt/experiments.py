@@ -95,7 +95,6 @@ def _cell_config(spec: ExperimentSpec, method: str, eta: float, gamma: float) ->
         decay=gamma,
         seed=spec.seed,
         stratified=spec.stratified,
-        moving_set_variant="naive",
         continuation_targets={1: np.array([spec.continuation_target])},
         n_sub=spec.n_sub,
         subsample_size=min(spec.subsample_size, spec.n_points),

@@ -49,6 +49,15 @@ def _ground(a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
     return (diff**inner).sum(axis=-1) ** (1.0 / inner)
 
 
+def _finite_points(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
+    """Both diagrams as (m, 2) float arrays; a non-finite coordinate raises."""
+    a = np.asarray(alpha, dtype=float).reshape(-1, 2)
+    b = np.asarray(beta, dtype=float).reshape(-1, 2)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("diagram distances expect finite diagram points")
+    return a, b
+
+
 def fg_distance(
     alpha: np.ndarray,
     beta: np.ndarray,
@@ -61,10 +70,7 @@ def fg_distance(
     (m1+m2) x (m1+m2) matrix, with zero cost diagonal-to-diagonal; the
     assignment is solved exactly and the total is taken to the 1/q power.
     """
-    a = np.asarray(alpha, dtype=float).reshape(-1, 2)
-    b = np.asarray(beta, dtype=float).reshape(-1, 2)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("fg_distance expects finite diagram points")
+    a, b = _finite_points(alpha, beta)
     if np.isinf(q):
         return bottleneck_distance(a, b)
     if inner is None:
@@ -98,8 +104,7 @@ def bottleneck_distance(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, Par
     Binary search over the finite candidate cost set with a bipartite
     perfect-matching feasibility test on the augmented graph.
     """
-    a = np.asarray(alpha, dtype=float).reshape(-1, 2)
-    b = np.asarray(beta, dtype=float).reshape(-1, 2)
+    a, b = _finite_points(alpha, beta)
     m1, m2 = len(a), len(b)
     n = m1 + m2
     if n == 0:

@@ -86,7 +86,6 @@ class DescentConfig:
     noise_std: float = 0.0
     seed: int = 0
     stratified: StratifiedConfig = field(default_factory=StratifiedConfig)
-    moving_set_variant: str = "naive"
     continuation_targets: dict | None = None
     n_sub: int = 10
     subsample_size: int = 20
@@ -121,9 +120,7 @@ def _stratified_step(gradient, family, theta, loss, cfg, lr, rng):
 
 
 def _big_step(family, theta, loss, cfg, lr, rng):
-    value, g, _ = big_step_gradient(
-        family, theta, loss, push_scale=lr, variant=cfg.moving_set_variant
-    )
+    value, g, _ = big_step_gradient(family, theta, loss, push_scale=lr)
     return value, g, lr, None
 
 

@@ -1,15 +1,15 @@
-"""Boundary-matrix reduction, persistence pairing, and transposition updates.
+"""Boundary-matrix reduction and persistence pairing.
 
 There are two paths:
 
-- Homology with a basis (``reduce``): R = D * V over F2 with R reduced
-  (distinct lowest ones), V upper-triangular invertible, and U = V^{-1}.
+- Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
+  ones), and, with a basis, V upper-triangular invertible and U = V^{-1}.
   Columns of R and V are stored as sets of row indices; U is stored
   row-major.  The set reducer ``_reduce_columns`` serves it and
-  ``perp_basis``.  An adjacent transposition (``transpose_adjacent``) updates
-  all three in place with O(n) set operations each, the bound of
-  Cohen-Steiner, Edelsbrunner and Morozov (Vines and vineyards, 2006).
-  Vineyard updates and the fast moving sets need the basis.
+  ``perp_basis``.  A ``ReducedDecomposition`` is not changed after its
+  reduction.  The naive moving sets read only its R and pivots; the basis
+  serves only the fast moving sets (``moving_set_fast``) and, through the
+  same reducer, ``perp_basis``.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time and skips the columns already
@@ -38,7 +38,6 @@ from .complexes import (
     SimplicialComplex,
     _order_indices,
     boundary,
-    is_face,
     read_table,
     write_table,
 )
@@ -142,9 +141,8 @@ class ReducedDecomposition:
         self.R, self.V, self.U, self.pivot = _reduce_columns(
             self.boundary_columns(), with_basis
         )
-        self.lowof: list[int | None] = [max(c) if c else None for c in self.R]
-        # data derived from the current order for moving-set queries (the
-        # reduced anti-transpose, a perp basis); a transposition drops it
+        # data derived from the decomposition for moving-set queries (the
+        # reduced anti-transpose, a perp basis), built on first use
         self._cache: dict = {}
 
     # -- queries ------------------------------------------------------------
@@ -164,7 +162,7 @@ class ReducedDecomposition:
     def partner(self, i: int) -> int | None:
         """Position paired with position i, or None if essential."""
         if self.R[i]:
-            return self.lowof[i]
+            return max(self.R[i])
         return self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
@@ -172,13 +170,10 @@ class ReducedDecomposition:
         births: dict[int, list] = defaultdict(list)
         deaths: dict[int, list] = defaultdict(list)
         essential: dict[int, list] = defaultdict(list)
-        dead = []
         for c, s in enumerate(self.simplices):
-            if self.R[c]:
-                dead.append((self.lowof[c], c))
-            elif c not in self.pivot:
+            if not self.R[c] and c not in self.pivot:
                 essential[len(s) - 1].append(index[s])
-        for r, c in sorted(dead):
+        for r, c in sorted(self.pivot.items()):
             b = self.simplices[r]
             births[len(b) - 1].append(index[b])
             deaths[len(b) - 1].append(index[self.simplices[c]])
@@ -187,111 +182,17 @@ class ReducedDecomposition:
                                   arrays(essential))
 
     def boundary_columns(self) -> list[set[int]]:
-        """The boundary matrix D in the current order, as row-index sets."""
+        """The boundary matrix D in the decomposition's order, as row-index sets."""
         return [{self.pos[f] for f in boundary(s)} for s in self.simplices]
-
-    # -- mutation -----------------------------------------------------------
-
-    def _require_basis(self):
-        if self.V is None:
-            raise ValueError("decomposition was reduced without basis matrices")
-
-    def _col_add(self, src: int, dst: int):
-        """Column op R_dst += R_src, V_dst += V_src, hence U row src += row dst."""
-        self.R[dst] ^= self.R[src]
-        self.V[dst] ^= self.V[src]
-        self.U[src] ^= self.U[dst]
-
-    @staticmethod
-    def _conjugate(M, i: int, j: int):
-        """Swap labels i <-> j of a square matrix held as index sets (columns
-        or rows alike): swap M[i] and M[j], then i and j inside every set."""
-        M[i], M[j] = M[j], M[i]
-        ij = {i, j}
-        for s in M:
-            if (i in s) != (j in s):
-                s ^= ij
-
-    def _mark_dirty(self, c: int, dirty: set):
-        low = self.lowof[c]
-        if low is not None and self.pivot.get(low) == c:
-            del self.pivot[low]
-        self.lowof[c] = None
-        dirty.add(c)
-
-    def _settle(self, c: int):
-        while True:
-            col = self.R[c]
-            if not col:
-                self.lowof[c] = None
-                return
-            low = max(col)
-            k = self.pivot.get(low)
-            if k is None or k == c:
-                self.pivot[low] = c
-                self.lowof[c] = low
-                return
-            if k < c:
-                self._col_add(k, c)
-                continue
-            # k > c would be unreduced relative to c: c takes the pivot and
-            # k is settled in turn.
-            self.pivot[low] = c
-            self.lowof[c] = low
-            self.lowof[k] = None
-            c = k
 
 
 def reduce(filtration: Filtration, with_basis: bool = True) -> ReducedDecomposition:
     """Reduce the boundary matrix of a filtration.
 
-    With ``with_basis`` the V and U = V^{-1} matrices are maintained, which
-    transpositions and moving-set queries require.
+    With ``with_basis`` the V and U = V^{-1} matrices are kept too; only the
+    fast moving sets read them.
     """
     return ReducedDecomposition(filtration, with_basis=with_basis)
-
-
-def transpose_adjacent(dec: ReducedDecomposition, i: int) -> ReducedDecomposition:
-    """Swap the simplices at positions i and i+1, updating R, V, U in place.
-
-    Rejects face/coface pairs (the swapped order would not be a filtration
-    order), positions outside 0..n-2, and a decomposition reduced without a
-    basis; a rejected call changes nothing.  Runs in O(n) set operations
-    per matrix.  Returns the same decomposition object.
-    """
-    j = i + 1
-    if not 0 <= i < len(dec.simplices) - 1:
-        raise IndexError(f"position {i} out of range")
-    a, b = dec.simplices[i], dec.simplices[j]
-    if is_face(a, b) or is_face(b, a):
-        raise ValueError(f"cannot transpose incident simplices {a} and {b}")
-    dec._require_basis()
-    dec._cache.clear()
-
-    dirty: set[int] = set()
-    if i in dec.V[j]:
-        dec._mark_dirty(j, dirty)
-        dec._col_add(i, j)
-    # clear the pivot entries of the swapped columns while lowof and pivot
-    # still agree; after conjugation their slots hold different columns
-    dec._mark_dirty(i, dirty)
-    dec._mark_dirty(j, dirty)
-
-    for M in (dec.R, dec.V, dec.U):
-        dec._conjugate(M, i, j)
-    dec.simplices[i], dec.simplices[j] = dec.simplices[j], dec.simplices[i]
-    dec.values[i], dec.values[j] = dec.values[j], dec.values[i]
-    dec.pos[dec.simplices[i]] = i
-    dec.pos[dec.simplices[j]] = j
-
-    # the columns that hold row i or j, whose lowest ones the swap relabelled
-    touched = {c for c, col in enumerate(dec.R) if i in col or j in col}
-    for c in touched | {i, j}:
-        dec._mark_dirty(c, dirty)
-    for c in sorted(dirty):
-        if dec.lowof[c] is None:
-            dec._settle(c)
-    return dec
 
 
 class _Coboundaries(dict):
@@ -455,7 +356,7 @@ def betti_numbers(filtration: Filtration) -> dict[int, int]:
 
 
 def perp_basis(dec: ReducedDecomposition):
-    """Reduce the anti-transposed boundary matrix of the current order.
+    """Reduce the anti-transposed boundary matrix of the decomposition's order.
 
     Returns (Vperp columns, Uperp rows); index a corresponds to the simplex
     at position n-1-a of the decomposition.

@@ -282,8 +282,8 @@ class _Coreduction:
 
 
 def _cached(dec: ReducedDecomposition, key: str, build):
-    """Per-decomposition value, built on first use and dropped by
-    ``transpose_adjacent``."""
+    """Per-decomposition value, built on first use and kept with the
+    decomposition, which never changes."""
     if key not in dec._cache:
         dec._cache[key] = build()
     return dec._cache[key]
@@ -440,19 +440,19 @@ def moving_set(dec: ReducedDecomposition, tau, t: float, variant: str = "fast"):
 # big-step gradient
 
 
-def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0,
-                      variant: str = "naive"):
+def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0):
     """Gradient with diagram partials spread over moving sets.
 
     For each singleton term of the loss, the partial derivative of the
     birth (death) coordinate is copied onto every simplex in the moving set
-    of the birth (death) simplex toward its target value.  A simplex pushed
-    by several terms keeps the one with the largest |current - target| gap.
+    of the birth (death) simplex toward its target value, found by the
+    naive walk, which needs no basis.  A simplex pushed by several terms
+    keeps the one with the largest |current - target| gap.
     Returns (value, gradient, diagram).
     """
     theta = np.asarray(theta, dtype=float)
     filt = family.filtration(theta)
-    dec = reduce(filt, with_basis=variant == "fast")
+    dec = reduce(filt, with_basis=False)
     dgm = build_diagram(filt, dec.pairing(), drop_zero_tol=PRUNE_TOL)
     value, _ = loss.evaluate(dgm)
     terms = loss.terms(dgm, push_scale)
@@ -473,7 +473,8 @@ def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0,
             if abs(filt.value(s) - target) <= PRUNE_TOL:
                 offer(s, partial, target)
                 continue
-            for member in moving_set(dec, s, target, variant):
+            # through the dispatcher: the benchmark's traced pass hooks it
+            for member in moving_set(dec, s, target, "naive"):
                 offer(member, partial, target)
     g = chain_rule(family, theta, ((s, partial) for s, (_, partial) in assigned.items()))
     return value, g, dgm

@@ -122,6 +122,8 @@ def test_non_finite_points_are_rejected_for_every_order(q, bad):
         fg_distance([[0.0, bad]], np.empty((0, 2)), q=q)
     with pytest.raises(ValueError, match="finite diagram points"):
         fg_distance([[0.0, 1.0]], [[bad, 2.0]], q=q)
+    with pytest.raises(ValueError, match="finite diagram points"):
+        bottleneck_distance([[0.0, bad]], np.empty((0, 2)))
 
 
 def test_essential_points_dropped_silently():

@@ -1,4 +1,4 @@
-"""Reduction invariants, the pairing oracle, transpositions, diagram IO."""
+"""Reduction invariants, the pairing oracle, the perp basis, diagram IO."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +15,6 @@ from topo_opt.reduction import (
     persistence_pairs,
     read_diagram,
     reduce,
-    transpose_adjacent,
     write_diagram,
 )
 from conftest import random_filtration, sublevel_betti
@@ -30,7 +29,9 @@ def dense(cols, n):
 
 
 def check_decomposition(dec):
-    """R = D.V, V upper-triangular unit-diagonal, U = V^-1, R reduced."""
+    """R = D.V, V upper-triangular unit-diagonal, U = V^-1, R reduced; the
+    pivots are R's lowest ones, and partner is an involution on the paired
+    positions that is None exactly on the essential ones."""
     n = len(dec.simplices)
     D = np.zeros((n, n), dtype=int)
     for j, s in enumerate(dec.simplices):
@@ -49,6 +50,13 @@ def check_decomposition(dec):
     assert ((U @ V) % 2 == np.eye(n, dtype=int)).all()
     lows = [max(c) for c in dec.R if c]
     assert len(lows) == len(set(lows))
+    assert dec.pivot == {max(c): j for j, c in enumerate(dec.R) if c}
+    paired = set(dec.pivot) | set(dec.pivot.values())
+    for i in range(n):
+        if i in paired:
+            assert dec.partner(dec.partner(i)) == i
+        else:
+            assert dec.partner(i) is None
 
 
 def test_single_vertex():
@@ -266,81 +274,6 @@ def test_torus_betti():
     f = Filtration(cx, np.zeros(len(cx)))
     betti = betti_numbers(f)
     assert (betti.get(0), betti.get(1), betti.get(2)) == (1, 2, 1)
-
-
-def test_transpose_adjacent_matches_rereduction(rng):
-    for _ in range(15):
-        f = random_filtration(rng, n_vertices=5)
-        dec = reduce(f)
-        n = len(dec.simplices)
-        for _ in range(10):
-            i = int(rng.integers(0, n - 1))
-            a, b = dec.simplices[i], dec.simplices[i + 1]
-            if set(a) <= set(b) or set(b) <= set(a):
-                with pytest.raises(ValueError):
-                    transpose_adjacent(dec, i)
-                continue
-            transpose_adjacent(dec, i)
-            check_decomposition(dec)
-            # re-reduce the permuted order from scratch and compare pairings
-            cx = f.complex
-            vals = np.empty(n)
-            for pos, s in enumerate(dec.simplices):
-                vals[cx.index[s]] = pos
-            fresh = reduce(Filtration(cx, vals), with_basis=False)
-            assert fresh.pairing().pairs == dec.pairing().pairs
-
-
-def test_transpose_adjacent_rejections_change_nothing(rng):
-    f = random_filtration(rng)
-    dec = reduce(f)
-    n = len(dec)
-
-    def state(d):
-        return ([set(c) for c in d.R], dict(d.pivot), list(d.lowof), list(d.simplices))
-
-    before = state(dec)
-    for i in (-1, n - 1):
-        with pytest.raises(IndexError):
-            transpose_adjacent(dec, i)
-    incident = next(i for i in range(n - 1)
-                    if set(dec.simplices[i]) <= set(dec.simplices[i + 1]))
-    with pytest.raises(ValueError, match="incident"):
-        transpose_adjacent(dec, incident)
-    assert state(dec) == before
-
-    bare = reduce(f, with_basis=False)
-    before = state(bare)
-    legal = next(i for i in range(n - 1)
-                 if not set(bare.simplices[i]) <= set(bare.simplices[i + 1]))
-    with pytest.raises(ValueError, match="without basis"):
-        transpose_adjacent(bare, legal)
-    assert state(bare) == before
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10_000), st.integers(3, 6),
-       st.lists(st.integers(0, 10_000), min_size=1, max_size=25))
-def test_transpositions_keep_the_decomposition_invariants(seed, n_vertices, moves):
-    dec = reduce(random_filtration(np.random.default_rng(seed), n_vertices=n_vertices))
-    for move in moves:
-        i = move % (len(dec) - 1)
-        a, b = dec.simplices[i], dec.simplices[i + 1]
-        if not (set(a) <= set(b) or set(b) <= set(a)):
-            transpose_adjacent(dec, i)
-            check_decomposition(dec)
-
-
-def test_transpose_is_involution(rng):
-    f = random_filtration(rng)
-    dec = reduce(f)
-    before = dec.pairing()
-    i = 0
-    while set(dec.simplices[i]) <= set(dec.simplices[i + 1]):
-        i += 1
-    transpose_adjacent(dec, i)
-    transpose_adjacent(dec, i)
-    assert dec.pairing().pairs == before.pairs
 
 
 def test_decomposition_keeps_its_filtration_complex(rng):

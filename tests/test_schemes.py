@@ -23,7 +23,6 @@ from topo_opt.reduction import (
     build_diagram,
     persistence_pairs,
     reduce,
-    transpose_adjacent,
 )
 from topo_opt.schemes import (
     StratifiedConfig,
@@ -348,49 +347,6 @@ def test_oracle_comparison_sees_every_case_grow():
     assert grown == {(d, u) for d in (False, True) for u in (False, True)}
 
 
-def test_moving_sets_follow_transpositions(rng):
-    """A query after transpositions answers for the new order: it equals the
-    same query on a fresh decomposition of that order with the same values.
-    (Fast death queries read V and U, which transpositions keep as another
-    valid basis than a fresh reduction's, so only its birth queries, read
-    off the perp basis of the order, are compared.)"""
-    for _ in range(30):
-        f = random_filtration(rng, n_vertices=6)
-        dec = reduce(f)
-        n = len(dec)
-        targets = {q: float(dec.values[q] + rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.5))
-                   for q in range(n)}
-
-        def queries(d):
-            out = []
-            for q, t in targets.items():
-                tau = d.simplices[q]
-                if d.partner(q) is None:
-                    continue
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    out.append(moving_set_naive(d, tau, t))
-                    if not d.is_death(q):
-                        out.append(moving_set_fast(d, tau, t))
-            return out
-
-        queries(dec)
-        moves = 0
-        while moves < 5:
-            i = int(rng.integers(0, n - 1))
-            a, b = dec.simplices[i], dec.simplices[i + 1]
-            if not (set(a) <= set(b) or set(b) <= set(a)):
-                transpose_adjacent(dec, i)
-                moves += 1
-        ranks = np.empty(n)
-        for pos, s in enumerate(dec.simplices):
-            ranks[f.complex.index[s]] = pos
-        fresh = reduce(Filtration(f.complex, ranks))
-        fresh.values = dec.values.copy()
-        assert fresh.simplices == dec.simplices
-        assert queries(dec) == queries(fresh)
-
-
 def test_moving_set_fast_without_basis_reduces_one(rng):
     for _ in range(10):
         f = random_filtration(rng, n_vertices=6)
@@ -425,10 +381,7 @@ def test_moving_set_caches_keep_no_cycle(rng):
             gc.enable()
 
 
-def test_naive_big_step_on_the_circle_neither_transposes_nor_builds_a_basis(monkeypatch):
-    def no_transposition(*args, **kwargs):
-        raise AssertionError("transpose_adjacent called")
-
+def test_naive_big_step_on_the_circle_builds_no_basis(monkeypatch):
     reduce_columns = topo_opt.reduction._reduce_columns
 
     def without_basis(cols, with_basis):
@@ -443,9 +396,6 @@ def test_naive_big_step_on_the_circle_neither_transposes_nor_builds_a_basis(monk
         sizes.append(len(members))
         return members
 
-    monkeypatch.setattr(topo_opt.reduction, "transpose_adjacent", no_transposition)
-    monkeypatch.setattr(topo_opt.schemes, "transpose_adjacent", no_transposition,
-                        raising=False)
     monkeypatch.setattr(topo_opt.reduction, "_reduce_columns", without_basis)
     monkeypatch.setattr(topo_opt.schemes, "moving_set_naive", counted)
     X = gen_circle(32, outlier=True, seed=0)
@@ -453,7 +403,7 @@ def test_naive_big_step_on_the_circle_neither_transposes_nor_builds_a_basis(monk
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         big_step_gradient(VietorisRips(len(X), max_dim=2), X, loss,
-                          push_scale=0.128, variant="naive")
+                          push_scale=0.128)
     assert sizes and max(sizes) > 1
 
 
