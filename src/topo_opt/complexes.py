@@ -7,7 +7,8 @@ as one block per dimension, an array of vertex ids with one row per
 simplex; the tuple list and the position lookup are built from the blocks
 only when read.  A complete complex fills its blocks directly, with no
 tuples.  A filtration attaches a real value to every simplex, monotone
-along the face relation.
+along the face relation; it may carry the integer rank of each value too,
+which the total order sorts in place of the values.
 The comma-separated table format that clouds, diagrams, traces and
 matchings are written in lives here too.
 """
@@ -16,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -64,8 +64,8 @@ class SimplicialComplex:
     simplex at position start + r.  Positions follow the (dimension,
     lexicographic) sort, so each dimension is one contiguous run.  The tuple
     list ``simplices`` and the position lookup ``index`` are views of the
-    blocks, built on first read; coboundaries and facets are computed on
-    first use.  Everything is kept, the complex being immutable.
+    blocks, built on first read; coboundaries, facets and vertex pairs are
+    computed on first use.  Everything is kept, the complex being immutable.
     """
 
     def __init__(self, simplices: Iterable[Simplex]):
@@ -92,6 +92,7 @@ class SimplicialComplex:
         self._len: int = starts[-1]
         self._coboundary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._facets: dict[int, np.ndarray] = {}
+        self._pairs: dict[int, np.ndarray] = {}
 
     @cached_property
     def simplices(self) -> list[Simplex]:
@@ -175,6 +176,20 @@ class SimplicialComplex:
             self.coboundary(q - 1)
         return self._facets[q]
 
+    def vertex_pairs(self, q: int) -> np.ndarray:
+        """The vertex pairs of the q-simplices, for 1 <= q <= dim, as flat
+        indices a * n_vertices + b into an n_vertices x n_vertices matrix,
+        a < b being vertex positions: row k of the (C(q+1, 2), m) array
+        holds the k-th pair, in lexicographic order, of every q-simplex."""
+        if q not in self._pairs:
+            vertex_ids = self._blocks[0][1][:, 0]
+            nv, ids = len(vertex_ids), self._blocks[q][1].T
+            if vertex_ids[-1] != nv - 1:  # ids are not their own positions
+                ids = np.searchsorted(vertex_ids, ids)
+            self._pairs[q] = np.array([ids[a] * nv + ids[b]
+                                       for a, b in itertools.combinations(range(q + 1), 2)])
+        return self._pairs[q]
+
     def cofaces(self, s: Simplex) -> list[Simplex]:
         """Codimension-1 cofaces of s within the complex."""
         i, p = self.index[s], len(s) - 1
@@ -243,15 +258,25 @@ class NotMonotoneError(ValueError):
 
 
 class Filtration:
-    """A monotone real-valued function on the simplices of a complex."""
+    """A monotone real-valued function on the simplices of a complex.
 
-    def __init__(self, complex: SimplicialComplex, values, check: bool = True):
+    A family may hand over ``rank`` as well: the dense rank of every value,
+    equal values getting equal ranks, in an unsigned integer array.  It is
+    order-isomorphic to the values, so the total order sorts it in their
+    place; numpy radix-sorts keys of 16 bits or fewer.
+    """
+
+    def __init__(self, complex: SimplicialComplex, values, check: bool = True,
+                 rank: np.ndarray | None = None):
         self.complex = complex
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (len(complex),):
             raise ValueError(
                 f"expected {len(complex)} values, got shape {self.values.shape}"
             )
+        if rank is not None and rank.shape != self.values.shape:
+            raise ValueError(f"expected {len(complex)} ranks, got shape {rank.shape}")
+        self.rank = rank
         if check:
             self.check_monotone()
 
@@ -276,20 +301,38 @@ class Filtration:
         return len(self.complex)
 
 
-@dataclass(frozen=True)
 class OrderingSignature:
     """The tie-broken total simplex order; identifies an ordering stratum.
 
     Two parameter points are ordering-equivalent exactly when their
     signatures compare equal.  ``tied`` flags a boundary stratum (two
     face-unrelated simplices share a value) and does not enter equality.
+    Equality and hashing read the bytes of the order's index array; the
+    tuple ``order`` is built on first read.
     """
 
-    order: tuple[int, ...]
-    tied: bool = field(default=False, compare=False)
+    def __init__(self, order, tied: bool = False):
+        self._key = np.asarray(order, dtype=np.intp).tobytes()
+        self.tied = tied
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.indices().tolist())
+
+    def indices(self) -> np.ndarray:
+        """The order as a read-only index array."""
+        return np.frombuffer(self._key, dtype=np.intp)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, OrderingSignature):
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.order)
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        return f"OrderingSignature({len(self._key) // np.intp().itemsize} simplices, tied={self.tied})"
 
 
 def total_order(filtration: Filtration) -> OrderingSignature:
@@ -302,13 +345,18 @@ def total_order(filtration: Filtration) -> OrderingSignature:
     """
     order = _order_indices(filtration)
     tied = next(_free_ties(filtration, order), None) is not None
-    return OrderingSignature(tuple(order.tolist()), tied)
+    return OrderingSignature(order, tied)
 
 
 def _order_indices(filtration: Filtration) -> np.ndarray:
-    """The order of ``total_order`` as an index array, without its tuple
-    and its tie walk."""
-    return np.argsort(filtration.values, kind="stable")
+    """The order of ``total_order`` as an index array, without its
+    signature and its tie walk: a stable argsort of the ranks where the
+    family gave them, of the values otherwise."""
+    return np.argsort(_sort_key(filtration), kind="stable")
+
+
+def _sort_key(filtration: Filtration) -> np.ndarray:
+    return filtration.values if filtration.rank is None else filtration.rank
 
 
 def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
@@ -316,10 +364,13 @@ def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
     values are equal and neither of which is a face of the other, lazily and
     in order: the candidate stratum boundaries."""
     simplex = filtration.complex.simplex
+    values = filtration.values
     order = np.asarray(order)
-    ov = filtration.values[order]
-    for k in np.nonzero(ov[1:] == ov[:-1])[0]:
+    ok = _sort_key(filtration)[order]
+    for k in np.nonzero(ok[1:] == ok[:-1])[0]:
         a, b = int(order[k]), int(order[k + 1])
+        if not values[a] == values[b]:
+            continue  # NaNs share a rank but are not equal
         sa, sb = simplex(a), simplex(b)
         if not (is_face(sa, sb) or is_face(sb, sa)):
             yield a, b

@@ -4,7 +4,9 @@ Each family maps a parameter (point cloud, vertex values, direction, or the
 raw value vector itself) to a monotone filtration, and exposes the gradient
 of a single simplex's value with respect to the parameter.  Gradients are
 returned sparse, as {row_or_index: contribution}, with ties resolved by a
-deterministic witness so the map is piecewise differentiable.
+deterministic witness so the map is piecewise differentiable.  Every
+family but the raw values also ranks its values in integers, so that the
+total order sorts small integer keys (Bauer, Ripser, 2021).
 """
 from __future__ import annotations
 
@@ -30,16 +32,49 @@ from .complexes import (
 
 def _max_over_pairs(cx: SimplicialComplex, M: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
     """Per-simplex max of M over vertex pairs (vertices get vertex_values)."""
-    vals = np.empty(len(cx))
+    vals, nv = np.empty(len(cx)), cx.n_vertices()
+    flat = M[:nv, :nv].ravel()
     for p, (start, A) in enumerate(cx.blocks()):
-        out = vals[start : start + len(A)]  # a view: writes land in vals
         if p == 0:
-            out[:] = vertex_values[A[:, 0]]
+            vals[start:start + len(A)] = vertex_values[A[:, 0]]
         else:
-            out.fill(-np.inf)
-            for a, b in itertools.combinations(range(p + 1), 2):
-                np.maximum(out, M[A[:, a], A[:, b]], out=out)
+            _fold_max(vals[start:start + len(A)], flat, cx.vertex_pairs(p))
     return vals
+
+
+def _fold_max(out: np.ndarray, flat: np.ndarray, pairs: np.ndarray) -> None:
+    """out = np.maximum folded over flat at each row of ``pairs`` in turn."""
+    np.take(flat, pairs[0], out=out)
+    for idx in pairs[1:]:
+        np.maximum(out, flat.take(idx), out=out)
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, rank): the sorted distinct values and the rank of each
+    value among them, so distinct[rank] == values.  -0.0 and 0.0 share a
+    rank, and so do all NaNs, which rank last.  The rank is 16 bits wide
+    up to 65,536 distinct values (numpy radix-sorts it) and 32 bits above."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    return distinct, rank.astype(np.uint16 if len(distinct) <= 1 << 16 else np.uint32)
+
+
+def _clique_rank(cx: SimplicialComplex, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, rank) of a clique filtration on cx: ``low`` holds the
+    values of the vertices and edges, in position order, and a higher
+    simplex takes the max over its vertex pairs.  Only the vertex and edge
+    values are ranked (Bauer, Ripser, 2021); the higher blocks take their
+    max in those integers."""
+    distinct, low_rank = _dense_rank(low)
+    rank = np.empty(len(cx), dtype=low_rank.dtype)
+    rank[:len(low)] = low_rank
+    blocks = cx.blocks()
+    if len(blocks) > 2:
+        nv = cx.n_vertices()
+        pair = np.zeros(nv * nv, dtype=rank.dtype)
+        pair[cx.vertex_pairs(1)[0]] = low_rank[nv:]
+        for q, (start, ids) in enumerate(blocks[2:], start=2):
+            _fold_max(rank[start:start + len(ids)], pair, cx.vertex_pairs(q))
+    return distinct, rank
 
 
 def _witness_pair(simplex: Simplex, M: np.ndarray) -> tuple[int, int]:
@@ -95,9 +130,14 @@ class VietorisRips(_CompleteFamily):
 
     def filtration(self, X: np.ndarray) -> Filtration:
         X = np.asarray(X, dtype=float)
-        M = self._dists(X) / 2.0
-        vals = _max_over_pairs(self.complex, M, np.zeros(len(X)))
-        return Filtration(self.complex, vals, check=False)
+        cx = self.complex
+        edges = cx.blocks()[1][1] if cx.dim >= 1 else np.empty((0, 2), dtype=int)
+        diff = X[edges[:, 0]] - X[edges[:, 1]]
+        # the values are >= +0.0, so the distinct value of each rank is the
+        # value itself, bit for bit
+        distinct, rank = _clique_rank(cx, np.concatenate(
+            [np.zeros(cx.n_vertices()), np.sqrt((diff * diff).sum(axis=1)) / 2.0]))
+        return Filtration(cx, distinct[rank], check=False, rank=rank)
 
     def simplex_gradient(self, X: np.ndarray, simplex: Simplex) -> dict:
         simplex = tuple(simplex)
@@ -203,8 +243,12 @@ class WeightedRips(_CompleteFamily):
         X = np.asarray(X, dtype=float)
         f = self.weights.values(X)
         M, _ = self._edge_matrix(X, f)
-        vals = _max_over_pairs(self.complex, M, 2 * f)
-        return Filtration(self.complex, vals, check=False)
+        cx = self.complex
+        # the values stay floats taken from M: with weights of -0.0 the max
+        # keeps a signed zero that a distinct value could not
+        vals = _max_over_pairs(cx, M, 2 * f)
+        _, rank = _clique_rank(cx, vals[:sum(len(ids) for _, ids in cx.blocks()[:2])])
+        return Filtration(cx, vals, check=False, rank=rank)
 
     def simplex_gradient(self, X: np.ndarray, simplex: Simplex) -> dict:
         simplex = tuple(simplex)
@@ -253,13 +297,18 @@ class LowerStar:
         f = np.asarray(f, dtype=float)
         blocks = self.complex.blocks()
         vertex_ids = blocks[0][1][:, 0]
-        vals = []
+        _, vertex_rank = _dense_rank(f)
+        vals, rank = [], []
         for _, ids in blocks:
-            fv = f[np.searchsorted(vertex_ids, ids)]
-            # the value at the first maximizer, as max() over the vertices
-            # takes it: a row max may return 0.0 where max() keeps -0.0
-            vals.append(fv[np.arange(len(fv)), fv.argmax(axis=1)])
-        return Filtration(self.complex, np.concatenate(vals), check=False)
+            rows = np.searchsorted(vertex_ids, ids)
+            rv = vertex_rank[rows]
+            # the first maximizer, as max() over the vertices takes it: its
+            # value keeps the sign of a zero, where a row max may not
+            top = np.arange(len(rv)), rv.argmax(axis=1)
+            vals.append(f[rows[top]])
+            rank.append(rv[top])
+        return Filtration(self.complex, np.concatenate(vals), check=False,
+                          rank=np.concatenate(rank))
 
     def witness(self, f: np.ndarray, simplex: Simplex) -> int:
         f = np.asarray(f, dtype=float)
@@ -347,8 +396,8 @@ def strata_signature(family, theta) -> OrderingSignature:
             np.array_equal(ga[k], gb[k]) or np.allclose(ga[k], gb[k]) for k in ga)
 
     tied = any(not same_gradient(grad(a), grad(b))
-               for a, b in _free_ties(filt, sig.order))
-    return OrderingSignature(sig.order, tied)
+               for a, b in _free_ties(filt, sig.indices()))
+    return OrderingSignature(sig.indices(), tied)
 
 
 def move_values(

@@ -111,12 +111,27 @@ def _vanilla_step(family, theta, loss, cfg, lr, rng):
     return value, g, lr, None
 
 
+class _FirstValue:
+    """The loss, remembering the value of its first evaluation."""
+
+    def __init__(self, loss: DiagramLoss):
+        self.loss, self.value = loss, None
+
+    def evaluate(self, dgm):
+        value, grads = self.loss.evaluate(dgm)
+        if self.value is None:
+            self.value = value
+        return value, grads
+
+
 def _stratified_step(gradient, family, theta, loss, cfg, lr, rng):
-    value, _, _ = vanilla_gradient(family, theta, loss)
-    g, alpha = gradient(family, theta, loss, cfg.stratified, rng)
+    # the stratified gradients take the vanilla gradient at theta first, so
+    # the first loss value is the loss at theta
+    first = _FirstValue(loss)
+    g, alpha = gradient(family, theta, first, cfg.stratified, rng)
     # alpha = 0 is approximate stationarity: the sampled-strata min-norm
     # point vanished
-    return value, g, alpha if alpha != 0.0 else None, None
+    return first.value, g, alpha if alpha != 0.0 else None, None
 
 
 def _big_step(family, theta, loss, cfg, lr, rng):

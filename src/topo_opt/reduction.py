@@ -11,13 +11,15 @@ There are two paths:
   serves only the fast moving sets (``moving_set_fast``) and, through the
   same reducer, ``perp_basis``.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
-  and ``betti_numbers``): cohomology with clearing, which reduces the
-  coboundary matrix one dimension at a time and skips the columns already
-  known to be paired.  Apparent pairs (a simplex and its earliest coface,
-  when the simplex is that coface's latest face) are read off the
-  complex's coboundary and facet arrays with numpy; only the other columns
-  are reduced, each held as a Python-int bitset over the anti-indices, so
-  a column addition is one xor and the lowest one is ``bit_length() - 1``.
+  and ``betti_numbers``): dimension 0 by union-find under the elder rule,
+  with no vertex cocolumn, then cohomology with clearing, which reduces the
+  coboundary matrix one dimension at a time from dimension 1 and skips the
+  columns already known to be paired.  Apparent pairs (a simplex and its
+  earliest coface, when the simplex is that coface's latest face) are read
+  off the complex's coboundary and facet arrays with numpy; only the other
+  columns are reduced, each held as a Python-int bitset over the
+  anti-indices, so a column addition is one xor and the lowest one is
+  ``bit_length() - 1``.
   It yields the same pairing as ``reduce(...).pairing()``.
 
 A ``PersistencePairing`` holds per-dimension arrays of complex positions
@@ -237,11 +239,47 @@ def _by_dim(indices: np.ndarray, dim_of: np.ndarray) -> dict[int, np.ndarray]:
     return {p: indices[masks[p]] for _, p in present}
 
 
-def persistence_pairs(filtration: Filtration) -> PersistencePairing:
-    """Persistence pairing of a filtration, by cohomology with clearing and
-    apparent pairs.
+def _elder_merges(vertex_pos: list[int], edges) -> list[tuple[int, int]]:
+    """The zero-dimensional pairs by union-find under the elder rule.
 
-    The coboundary matrix is reduced one dimension at a time, lowest first.
+    ``edges`` yields (edge, u, v) in filtration order, u and v being the
+    positions of the edge's vertices, and vertex_pos[u] is the filtration
+    position of vertex u.  A component is represented by its root, its
+    earliest vertex.  An edge that joins two components kills the younger
+    one: it pairs with the later of the two roots, which then hangs below
+    the other.  The walk stops at the (len(vertex_pos) - 1)-th merge, after
+    which every edge closes a cycle.  Returns the (vertex, edge) pairs in
+    the order of the merges."""
+    root = list(range(len(vertex_pos)))
+    pairs: list[tuple[int, int]] = []
+    left = len(root) - 1
+    for e, u, v in edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]  # path halving
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            continue
+        if vertex_pos[u] < vertex_pos[v]:
+            u, v = v, u
+        root[u] = v
+        pairs.append((u, e))
+        left -= 1
+        if not left:
+            break
+    return pairs
+
+
+def persistence_pairs(filtration: Filtration) -> PersistencePairing:
+    """Persistence pairing of a filtration: union-find in dimension 0, then
+    cohomology with clearing and apparent pairs.
+
+    Dimension 0 is paired as Ripser pairs it (Bauer, Ripser, 2021): the
+    edges are walked in filtration order with a union-find over the
+    vertices, and an edge that joins two components pairs with the younger
+    component's root (the elder rule, Edelsbrunner and Harer, Computational
+    Topology, 2010).  No vertex cocolumn is built.  Above it, the coboundary
+    matrix is reduced one dimension at a time, lowest first, from p = 1.
     The columns of dimension p are the p-simplices in reverse filtration
     order; a column holds the anti-indices n-1-position of the simplex's
     (p+1)-cofaces, so its pivot is the earliest coface.  A p-simplex that
@@ -273,7 +311,15 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     anti = n - 1 - pos
     partner = np.full(n, -1, dtype=np.intp)
     blocks = cx.blocks()
-    for p in range(len(blocks) - 1):
+    if len(blocks) > 1:
+        nv, facets = blocks[1][0], cx.facets(1)
+        edges = np.argsort(pos[nv:nv + len(facets)])
+        merges = _elder_merges(pos[:nv].tolist(),
+                               zip((nv + edges).tolist(), *facets[edges].T.tolist()))
+        births, deaths = np.array(merges, dtype=np.intp).reshape(-1, 2).T
+        partner[births] = deaths
+        partner[deaths] = births
+    for p in range(1, len(blocks) - 1):
         start, ids = blocks[p]
         indptr, cofaces = cx.coboundary(p)
         entries = anti[cofaces]

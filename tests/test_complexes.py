@@ -10,6 +10,7 @@ from topo_opt import build_complex, complete_complex, triangulated_torus
 from topo_opt.complexes import (
     Filtration,
     NotMonotoneError,
+    OrderingSignature,
     boundary,
     read_complex,
     total_order,
@@ -262,3 +263,17 @@ def test_ordering_signature_hash_and_tie_flag():
     assert isinstance(hash(sig), int)
     # (0,) and (1,) and (2,) tie at value 0 without a face relation
     assert sig.tied
+
+
+def test_ordering_signature_compares_order_bytes_without_the_tuple(rng):
+    f = random_filtration(rng)
+    a, b = total_order(f), total_order(Filtration(f.complex, np.exp(f.values)))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # equality and hashing read the order array's bytes: no tuple is built
+    assert "order" not in vars(a) and "order" not in vars(b)
+    assert a.order == tuple(np.argsort(f.values, kind="stable").tolist())
+    assert OrderingSignature(a.order, tied=not a.tied) == a
+    swapped = list(a.order)
+    swapped[0], swapped[1] = swapped[1], swapped[0]
+    assert OrderingSignature(swapped) != a
+    assert a != a.order

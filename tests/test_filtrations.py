@@ -1,4 +1,5 @@
 """Filtration families: values, witnesses, gradients, and the cloud format."""
+import functools
 import itertools
 
 import numpy as np
@@ -7,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo_opt import build_complex, triangulated_torus
-from topo_opt.complexes import Filtration, boundary, is_face
+from topo_opt.complexes import (
+    Filtration,
+    _free_ties,
+    _order_indices,
+    boundary,
+    is_face,
+    total_order,
+)
 from topo_opt.filtrations import (
     ConstantWeights,
     DTMWeights,
@@ -296,9 +304,15 @@ def test_lower_star_gradient_is_witness_indicator():
 
 
 def lower_star_by_loop(cx, f):
-    """Per simplex, max() over the values of its vertices."""
+    """Per simplex, max() over the values of its vertices, or the first
+    NaN among them."""
     vindex = {s[0]: i for i, s in enumerate(cx.skeleton(0))}
-    return np.array([max(f[vindex[v]] for v in s) for s in cx.simplices])
+    out = []
+    for s in cx.simplices:
+        xs = [f[vindex[v]] for v in s]
+        nans = [x for x in xs if x != x]
+        out.append(nans[0] if nans else max(xs))
+    return np.array(out)
 
 
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -454,3 +468,99 @@ def test_cloud_io_roundtrip(tmp_path, rng):
     np.testing.assert_allclose(read_cloud(path), X)
     header = open(path).readline().strip()
     assert header == "x0,x1,x2"
+
+
+# -- integer order keys -------------------------------------------------------
+
+
+def clique_by_loop(cx, M, vertex_values):
+    """Per simplex, np.maximum folded over M at its vertex pairs from -inf,
+    or the vertex value: the float values of a Rips-type filtration."""
+    return np.array([
+        vertex_values[s[0]] if len(s) == 1 else functools.reduce(
+            np.maximum, (M[i, j] for i, j in itertools.combinations(s, 2)), -np.inf)
+        for s in cx.simplices])
+
+
+def assert_keys_match_the_values(f):
+    """The family's ranks order the simplices as a stable float argsort of
+    the values does, and tie exactly where the values tie."""
+    assert f.rank is not None and f.rank.dtype in (np.uint16, np.uint32)
+    plain = Filtration(f.complex, f.values, check=False)
+    order = _order_indices(f)
+    assert np.array_equal(order, np.argsort(f.values, kind="stable"))
+    assert np.array_equal(order, _order_indices(plain))
+    r, v = f.rank[order], f.values[order]
+    assert (r[1:] >= r[:-1]).all()
+    nan = np.isnan(v)
+    assert np.array_equal(r[1:] == r[:-1], (v[1:] == v[:-1]) | (nan[1:] & nan[:-1]))
+    assert list(_free_ties(f, order)) == list(_free_ties(plain, order))
+    a, b = total_order(f), total_order(plain)
+    assert a == b and a.tied == b.tied
+
+
+def _tied_clouds(n):
+    # one decimal: many distances tie; now and then a NaN coordinate
+    coord = st.floats(-1.0, 1.0).map(lambda x: round(x, 1)) | st.just(np.nan)
+    return st.lists(coord, min_size=2 * n, max_size=2 * n).map(
+        lambda c: np.reshape(c, (-1, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8).flatmap(_tied_clouds), st.sampled_from([1, 2, 3]))
+def test_vr_ranks_order_like_the_values_and_give_their_bytes(X, max_dim):
+    n = len(X)
+    with np.errstate(invalid="ignore"):
+        f = VietorisRips(n, max_dim).filtration(X)
+        diff = X[:, None, :] - X[None, :, :]
+        want = clique_by_loop(f.complex, np.sqrt((diff * diff).sum(axis=-1)) / 2.0,
+                              np.zeros(n))
+    assert f.values.tobytes() == want.tobytes()
+    assert_keys_match_the_values(f)
+
+
+signed = st.sampled_from([-0.0, 0.0, 0.5, -1.5, np.nan]) | finite
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    _tied_clouds(n), st.lists(signed, min_size=n, max_size=n))))
+def test_weighted_rips_ranks_order_like_the_values_and_keep_signed_zeros(case):
+    X, w = case
+    w = np.array(w)
+    fam = WeightedRips(len(X), 2, ConstantWeights(w))
+    with np.errstate(invalid="ignore"):
+        f = fam.filtration(X)
+        M, _ = fam._edge_matrix(X, w)
+    assert f.values.tobytes() == clique_by_loop(f.complex, M, 2 * w).tobytes()
+    assert_keys_match_the_values(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4), min_size=1, max_size=8),
+       st.data())
+def test_lower_star_ranks_order_like_the_values(sims, data):
+    cx = build_complex(sims)
+    n = cx.n_vertices()
+    f = np.array(data.draw(st.lists(signed, min_size=n, max_size=n)))
+    filt = LowerStar(cx).filtration(f)
+    assert filt.values.tobytes() == lower_star_by_loop(cx, f).tobytes()
+    assert_keys_match_the_values(filt)
+
+
+def test_vr_ranks_widen_to_32_bits_above_65536_distinct_values():
+    # 363 points: 65,703 edges, each at its own distance, plus the vertices at 0
+    X = np.random.default_rng(0).normal(size=(363, 2))
+    f = VietorisRips(363, 1).filtration(X)
+    assert f.rank.dtype == np.uint32 and len(np.unique(f.values)) > 1 << 16
+    diff = X[:, None, :] - X[None, :, :]
+    M = np.sqrt((diff * diff).sum(axis=-1)) / 2.0
+    assert f.values.tobytes() == np.concatenate([np.zeros(363), M[np.triu_indices(363, 1)]]).tobytes()
+    assert_keys_match_the_values(f)
+
+
+def test_raw_values_carry_no_rank():
+    cx = triangulated_torus()
+    f = RawValues(cx).filtration(LowerStar(cx).filtration(np.arange(9.0)).values)
+    assert f.rank is None
+    assert np.array_equal(_order_indices(f), np.argsort(f.values, kind="stable"))

@@ -257,3 +257,34 @@ def test_trace_io_roundtrip(tmp_path):
     write_trace(path, trace)
     trace2 = read_trace(path)
     assert trace2 == trace  # loss/grad columns exact, wall time ignored
+
+
+@pytest.mark.parametrize("method", ["stratified", "stratified_const"])
+def test_stratified_step_takes_one_vanilla_gradient_per_sampled_point(method, monkeypatch):
+    # theta is the first sampled point, so its vanilla gradient also gives
+    # the step's loss value: no extra evaluation at theta
+    import topo_opt.optim
+    import topo_opt.schemes
+
+    vanilla, sample = topo_opt.schemes.vanilla_gradient, topo_opt.schemes.sample_strata
+    calls, points = [], []
+
+    def counted(*args):
+        calls.append(args[1])
+        return vanilla(*args)
+
+    def sampled(*args):
+        pts = sample(*args)
+        points.append(len(pts))
+        return pts
+
+    for module in (topo_opt.schemes, topo_opt.optim):
+        monkeypatch.setattr(module, "vanilla_gradient", counted)
+    monkeypatch.setattr(topo_opt.schemes, "sample_strata", sampled)
+    X = circle_cloud(8, noise=0.05, seed=3)
+    fam, loss = VietorisRips(n_points=8, max_dim=1), TotalPersistenceLoss(dims=(0,))
+    cfg = DescentConfig(method=method, steps=2, lr=0.05, snapshot_steps=(0, 1, 2))
+    _, trace = descend(fam, X, loss, cfg)
+    assert len(trace) == 3 and len(calls) == sum(points) > 3
+    for r in trace.records:
+        assert r.loss == vanilla(fam, trace.snapshots[r.step], loss)[0]

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import Filtration, boundary
 from topo_opt.experiments import gen_circle
-from topo_opt.filtrations import VietorisRips
+from topo_opt.filtrations import LowerStar, VietorisRips
 from topo_opt.reduction import (
+    _elder_merges,
     betti_numbers,
     build_diagram,
     perp_basis,
@@ -199,6 +200,38 @@ def test_persistence_pairs_equals_reduction_on_circle_subsamples(seed):
             assert a.points[dim].tobytes() == b.points[dim].tobytes()
         for dim in a.essential:
             assert a.essential[dim].tobytes() == b.essential[dim].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 11), min_size=1, max_size=3), min_size=1, max_size=12),
+       st.data())
+def test_union_find_h0_equals_reduction_on_general_complexes(sims, data):
+    # isolated vertices, several components and lower-star values from a
+    # small set, so that many vertices and edges tie
+    cx = build_complex(sims)
+    n = cx.n_vertices()
+    f = data.draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n, max_size=n))
+    assert_same_pairing(LowerStar(cx).filtration(np.array(f)))
+
+
+@pytest.mark.parametrize("sims", [[(0,)], [(3,), (1,), (7,)], [(0, 1)],
+                                  [(0, 1), (1, 2), (0, 2), (4, 5), (6,)]])
+@pytest.mark.parametrize("zero", [False, True])
+def test_union_find_h0_equals_reduction_on_vertex_and_edge_complexes(sims, zero):
+    cx = build_complex(sims)
+    values = np.zeros(cx.n_vertices()) if zero else np.arange(cx.n_vertices(), 0.0, -1.0)
+    assert_same_pairing(LowerStar(cx).filtration(values))
+
+
+def test_union_find_pairs_the_younger_root_and_stops_at_the_last_merge():
+    # vertices 0..3 at positions 3, 0, 2, 1; edges in filtration order
+    # (10: 0-1), (11: 2-3), (12: 0-2) merge all four, and the walk must not
+    # read the edge after the last merge
+    def edges():
+        yield from [(10, 0, 1), (11, 2, 3), (12, 0, 2)]
+        raise AssertionError("walked past the last merge")
+
+    assert _elder_merges([3, 0, 2, 1], edges()) == [(0, 10), (2, 11), (3, 12)]
 
 
 class RefusingIndex(dict):
