@@ -181,9 +181,9 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
     """Run cfg.steps descent steps from theta0; returns (theta, Trace).
 
     ``regularizer``, when given, must expose value_and_grad(theta) and is
-    added to the topological loss for every method.  A non-finite theta0
-    raises ValueError; a non-finite loss, gradient norm or updated theta
-    raises DescentAborted.
+    added to the topological loss for every method.  A negative step count or
+    a non-finite theta0 raises ValueError; a non-finite loss, gradient norm
+    or updated theta raises DescentAborted.
     """
     step = _STEPS.get(cfg.method)
     if step is None:
@@ -193,6 +193,8 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
     theta = np.asarray(theta0, dtype=float).copy()
     if not np.isfinite(theta).all():
         raise ValueError("non-finite entries in theta0")
+    if cfg.steps < 0:
+        raise ValueError(f"need steps >= 0, got {cfg.steps}")
     trace = Trace()
     for k in range(cfg.steps + 1):
         t0 = time.perf_counter()

@@ -3,13 +3,12 @@
 There are two paths:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
-  ones), and, with a basis, V upper-triangular invertible and U = V^{-1}.
-  Columns of R and V are stored as sets of row indices; U is stored
-  row-major.  The set reducer ``_reduce_columns`` serves it and
-  ``perp_basis``.  A ``ReducedDecomposition`` is not changed after its
-  reduction.  The naive moving sets read only its R and pivots; the basis
-  serves only the fast moving sets (``moving_set_fast``) and, through the
-  same reducer, ``perp_basis``.
+  ones), by the set reducer ``_reduce_columns``; columns are sets of row
+  indices.  A ``ReducedDecomposition`` is not changed after its reduction.
+  It serves the moving sets through two ``_PairedMatrix`` forms, D (whose
+  reduced columns are R) and D's anti-transpose (reduced on demand), each
+  with a basis V, U = V^{-1} built on first read; only the fast moving sets
+  read a basis.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): dimension 0 by union-find under the elder rule,
   with no vertex cocolumn, then cohomology with clearing, which reduces the
@@ -105,8 +104,8 @@ class PersistenceDiagram:
 
 def _reduce_columns(cols, with_basis: bool):
     """Left-to-right reduction of the F2 columns cols[0], ..., cols[n-1], held
-    as row-index sets (boundary columns for ``reduce``, anti-transposed
-    coboundary columns for ``perp_basis``).
+    as row-index sets: the boundary matrix for ``reduce``, and either form
+    of a ``_PairedMatrix`` when its basis is read.
 
     Returns (R, V, U, pivot) with V as columns, U as rows (V and U are None
     when with_basis is False), pivot mapping lowest-one row -> column.
@@ -131,21 +130,96 @@ def _reduce_columns(cols, with_basis: bool):
     return R, V, U, pivot
 
 
-class ReducedDecomposition:
-    """Reduced decomposition of a filtration's boundary matrix."""
+class _PairedMatrix:
+    """A boundary matrix in a decomposition's order whose pairs are known:
+    D itself, or D's anti-transpose, which has the same pairs reversed (de
+    Silva, Morozov and Vejdemo-Johansson, Dualities in persistent
+    (co)homology, 2011).
 
-    def __init__(self, filtration: Filtration, with_basis: bool = True):
+    ``index`` maps a position of the order to its column and back: the
+    identity for D, q -> n-1-q for the anti-transpose.  Column c holds the
+    columns of the faces (D) or cofaces (anti-transpose) of its simplex,
+    ``pivot`` maps a lowest one to its column, and ``reduced(c)`` is column c
+    reduced left to right.  ``columns`` keeps the reduced columns, None for
+    one not yet reduced; D's are the decomposition's own R, so D is never
+    reduced twice.  ``basis`` (V columns, U = V^-1 rows) is built on first
+    read.  The matrix holds the decomposition's order but not the
+    decomposition."""
+
+    def __init__(self, simplices: list[Simplex], pos: dict[Simplex, int], faces,
+                 pivot: dict[int, int], columns: list[set[int] | None], flip: bool):
+        self.n, self.simplices, self.pos, self.faces = len(simplices), simplices, pos, faces
+        self.pivot, self.columns, self.flip = pivot, columns, flip
+
+    @cached_property
+    def partner(self) -> dict[int, int]:
+        return {c: row for row, c in self.pivot.items()}
+
+    def index(self, q: int) -> int:
+        return self.n - 1 - q if self.flip else q
+
+    def raw(self, c: int) -> set[int]:
+        index, pos = self.index, self.pos
+        return {index(pos[f]) for f in self.faces(self.simplices[index(c)])}
+
+    def reduced(self, c: int) -> set[int]:
+        """Column c, reduced until its lowest one is its partner, or to zero
+        when it has none; the columns it needs are reduced first, without
+        recursion.  Every lowest one met on the way is claimed by an earlier
+        column, so this is column c of a full left-to-right reduction."""
+        done = self.columns
+        stack, partial = [c], {}
+        while stack:
+            k = stack[-1]
+            if done[k] is not None:
+                stack.pop()
+                continue
+            col = partial.get(k)
+            if col is None:
+                col = partial[k] = self.raw(k)
+            while col and (low := max(col)) != self.partner.get(k):
+                j = self.pivot[low]
+                if done[j] is None:
+                    stack.append(j)
+                    break
+                col ^= done[j]
+            else:
+                done[k] = partial.pop(k)
+                stack.pop()
+        return done[c]
+
+    @cached_property
+    def basis(self) -> tuple[list[set[int]], list[set[int]]]:
+        """(V columns, U rows) of one reduction with a basis, U = V^-1."""
+        return _reduce_columns([self.raw(c) for c in range(self.n)], True)[1:3]
+
+
+class ReducedDecomposition:
+    """Reduced decomposition of a filtration's boundary matrix.  Not changed
+    after its reduction; ``D`` and ``anti_D`` are built on first read."""
+
+    def __init__(self, filtration: Filtration):
         cx = self.complex = filtration.complex
         order = _order_indices(filtration)
         self.simplices: list[Simplex] = list(map(cx.simplices.__getitem__, order.tolist()))
         self.values: np.ndarray = filtration.values[order]
         self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self.R, self.V, self.U, self.pivot = _reduce_columns(
-            self.boundary_columns(), with_basis
-        )
-        # data derived from the decomposition for moving-set queries (the
-        # reduced anti-transpose, a perp basis), built on first use
-        self._cache: dict = {}
+        self.R, _, _, self.pivot = _reduce_columns(
+            [{self.pos[f] for f in boundary(s)} for s in self.simplices], False)
+
+    @cached_property
+    def D(self) -> _PairedMatrix:
+        """The boundary matrix, reduced: its reduced columns are R."""
+        return _PairedMatrix(self.simplices, self.pos, boundary, self.pivot, self.R,
+                             flip=False)
+
+    @cached_property
+    def anti_D(self) -> _PairedMatrix:
+        """The anti-transposed boundary matrix, reduced on demand."""
+        n = len(self.simplices)
+        return _PairedMatrix(self.simplices, self.pos, self.complex.cofaces,
+                             {n - 1 - c: n - 1 - row for row, c in self.pivot.items()},
+                             [None] * n, flip=True)
 
     # -- queries ------------------------------------------------------------
 
@@ -183,18 +257,10 @@ class ReducedDecomposition:
         return PersistencePairing(self.complex, arrays(births), arrays(deaths),
                                   arrays(essential))
 
-    def boundary_columns(self) -> list[set[int]]:
-        """The boundary matrix D in the decomposition's order, as row-index sets."""
-        return [{self.pos[f] for f in boundary(s)} for s in self.simplices]
 
-
-def reduce(filtration: Filtration, with_basis: bool = True) -> ReducedDecomposition:
-    """Reduce the boundary matrix of a filtration.
-
-    With ``with_basis`` the V and U = V^{-1} matrices are kept too; only the
-    fast moving sets read them.
-    """
-    return ReducedDecomposition(filtration, with_basis=with_basis)
+def reduce(filtration: Filtration) -> ReducedDecomposition:
+    """Reduce the boundary matrix of a filtration."""
+    return ReducedDecomposition(filtration)
 
 
 class _Coboundaries(dict):
@@ -399,19 +465,6 @@ def betti_numbers(filtration: Filtration) -> dict[int, int]:
     for dim, us in pairing.essential.items():
         out[dim] = len(us)
     return out
-
-
-def perp_basis(dec: ReducedDecomposition):
-    """Reduce the anti-transposed boundary matrix of the decomposition's order.
-
-    Returns (Vperp columns, Uperp rows); index a corresponds to the simplex
-    at position n-1-a of the decomposition.
-    """
-    n = len(dec.simplices)
-    cols = [{n - 1 - dec.pos[c] for c in dec.complex.cofaces(s)}
-            for s in reversed(dec.simplices)]
-    _, Vp, Up, _ = _reduce_columns(cols, with_basis=True)
-    return Vp, Up
 
 
 # ---------------------------------------------------------------------------

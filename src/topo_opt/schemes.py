@@ -15,13 +15,7 @@ import numpy as np
 
 from .complexes import NotMonotoneError, Simplex, boundary, total_order
 from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
-from .reduction import (
-    ReducedDecomposition,
-    _reduce_columns,
-    build_diagram,
-    perp_basis,
-    reduce,
-)
+from .reduction import ReducedDecomposition, _PairedMatrix, build_diagram, reduce
 
 
 def vanilla_gradient(family, theta, loss: DiagramLoss):
@@ -236,68 +230,27 @@ def _clip_target(dec: ReducedDecomposition, tau: Simplex, t: float) -> float:
     return t
 
 
-class _Coreduction:
-    """The anti-transposed boundary matrix of a decomposition, reduced on
-    demand.  Index a stands for the simplex at position n-1-a; column a holds
-    the anti-indices of its cofaces.  The pivots are the decomposition's own
-    pairs, reversed (de Silva, Morozov and Vejdemo-Johansson, Dualities in
-    persistent (co)homology, 2011), so a column is reduced only until its
-    lowest one is its partner, and only when a lookup reaches it.  It holds
-    the decomposition's order but not the decomposition."""
-
-    def __init__(self, dec: ReducedDecomposition):
-        n = self.n = len(dec.simplices)
-        self.simplices, self.pos, self.complex = dec.simplices, dec.pos, dec.complex
-        self.pivot = {n - 1 - c: n - 1 - low for low, c in dec.pivot.items()}
-        self.partner = {c: row for row, c in self.pivot.items()}
-        self.columns: dict[int, set[int]] = {}
-
-    def raw(self, a: int) -> set[int]:
-        n, pos = self.n, self.pos
-        return {n - 1 - pos[c] for c in self.complex.cofaces(self.simplices[n - 1 - a])}
-
-    def reduced(self, a: int) -> set[int]:
-        """Column a, reduced until its lowest one is its partner; the
-        columns it needs are reduced first, without recursion."""
-        done = self.columns
-        stack, partial = [a], {}
-        while stack:
-            c = stack[-1]
-            if c in done:
-                stack.pop()
-                continue
-            col = partial.get(c)
-            if col is None:
-                col = partial[c] = self.raw(c)
-            while (low := max(col)) != self.partner[c]:
-                k = self.pivot[low]  # k < c: an earlier column claims low
-                if k not in done:
-                    stack.append(k)
-                    break
-                col ^= done[k]
-            else:
-                done[c] = partial.pop(c)
-                stack.pop()
-        return done[a]
+def _moving_set_query(dec: ReducedDecomposition, tau, t: float):
+    """Check a moving-set query: returns (tau, its position, f(tau), the
+    clipped target, whether it lies above f(tau)).  An essential tau is an
+    error: it has no pair to preserve."""
+    tau = tuple(tau)
+    pos_tau = dec.position(tau)
+    if dec.partner(pos_tau) is None:
+        raise ValueError(f"{tau} is essential; it has no finite pair to preserve")
+    v0 = float(dec.values[pos_tau])
+    t = _clip_target(dec, tau, t)
+    return tau, pos_tau, v0, t, t > v0
 
 
-def _cached(dec: ReducedDecomposition, key: str, build):
-    """Per-decomposition value, built on first use and kept with the
-    decomposition, which never changes."""
-    if key not in dec._cache:
-        dec._cache[key] = build()
-    return dec._cache[key]
-
-
-def _reduce_prefix(col: set[int], bound: int, pivot: dict, reduced, extra: dict) -> set[int]:
-    """Reduce col against the reduced columns before ``bound`` (pivot maps a
-    lowest one to its column, reduced(k) reads column k) and the extra
-    columns keyed by their lowest ones.  Mutates and returns col."""
+def _reduce_prefix(mat: _PairedMatrix, col: set[int], bound: int, extra: dict) -> set[int]:
+    """Reduce col against the matrix's reduced columns before ``bound`` and
+    the extra columns keyed by their lowest ones.  Mutates and returns col."""
     while col:
         low = max(col)
-        k = pivot.get(low)
+        k = mat.pivot.get(low)
         if k is not None and k < bound:
-            col ^= reduced(k)
+            col ^= mat.reduced(k)
         elif low in extra:
             col ^= extra[low]
         else:
@@ -314,12 +267,11 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     when the crossing steals tau's pairing with its partner sigma.
 
     A crossing is decided by one prefix column reduction, in the matrix
-    where tau is a column: the boundary matrix D for a death, whose reduced
-    columns before a bound are the decomposition's own; for a birth the
-    anti-transpose of D, which has the same pairs (de Silva, Morozov and
-    Vejdemo-Johansson, 2011), reduced on demand.  The pairing is unique, and
-    sigma pairs with tau exactly when tau's column, reduced against the
-    columns before it, has its lowest one at sigma.
+    where tau is a column: D for a death, whose reduced columns are the
+    decomposition's own R, and D's anti-transpose for a birth, reduced on
+    demand.  The pairing is unique, and sigma pairs with tau exactly when
+    tau's column, reduced against the columns before it, has its lowest one
+    at sigma.
     - A candidate that enters tau's prefix (a death pushed up, a birth
       pushed down) joins iff its column, reduced against the columns before
       tau and the candidates already crossed, has its lowest one at sigma.
@@ -328,14 +280,7 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
       the candidate and the block's members, no longer has its lowest one
       at sigma.
     No basis is read, and the decomposition is not changed."""
-    tau = tuple(tau)
-    pos_tau = dec.position(tau)
-    part = dec.partner(pos_tau)
-    if part is None:
-        raise ValueError(f"{tau} is essential; it has no finite pair to preserve")
-    v0 = float(dec.values[pos_tau])
-    t = _clip_target(dec, tau, t)
-    up = t > v0
+    tau, pos_tau, v0, t, up = _moving_set_query(dec, tau, t)
     window = []
     step = 1 if up else -1
     q = pos_tau + step
@@ -351,14 +296,8 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
         return X
 
     death = dec.is_death(pos_tau)
-    if death:
-        index, pivot, reduced = (lambda q: q), dec.pivot, dec.R.__getitem__
-        raw = lambda c: {dec.pos[f] for f in boundary(dec.simplices[c])}
-    else:
-        cores = _cached(dec, "coreduction", lambda: _Coreduction(dec))
-        n = len(dec.simplices)
-        index, pivot, reduced, raw = (lambda q: n - 1 - q), cores.pivot, cores.reduced, cores.raw
-    c_tau, r_sigma = index(pos_tau), index(part)
+    mat = dec.D if death else dec.anti_D
+    c_tau, r_sigma = mat.index(pos_tau), mat.index(dec.partner(pos_tau))
 
     def pairs_with_sigma(col):
         return bool(col) and max(col) == r_sigma
@@ -367,7 +306,7 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
         # candidates enter tau's prefix; the crossed ones stay in it
         crossed: dict[int, set[int]] = {}
         for q in window:
-            col = _reduce_prefix(raw(index(q)), c_tau, pivot, reduced, crossed)
+            col = _reduce_prefix(mat, mat.raw(mat.index(q)), c_tau, crossed)
             if pairs_with_sigma(col):
                 X.add(dec.simplices[q])
             elif col:
@@ -376,54 +315,37 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     # candidates leave tau's prefix; the block's members come before tau
     members: list[int] = []
     for q in window:
-        c, block = index(q), {}
+        c, block = mat.index(q), {}
         for m in reversed(members):
-            col = _reduce_prefix(raw(m), c, pivot, reduced, block)
+            col = _reduce_prefix(mat, mat.raw(m), c, block)
             if col:
                 block[max(col)] = col
-        if not pairs_with_sigma(_reduce_prefix(raw(c_tau), c, pivot, reduced, block)):
+        if not pairs_with_sigma(_reduce_prefix(mat, mat.raw(c_tau), c, block)):
             members.append(c)
             X.add(dec.simplices[q])
     return X
 
 
 def moving_set_fast(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
-    """Moving set read directly off the supports of V, U and their
-    anti-transpose counterparts.
+    """Moving set read directly off the basis of the matrix where tau is a
+    column: D for a death, D's anti-transpose for a birth.
 
-    For a death simplex the candidates below/above are the nonzeros of the
-    V column / U row of tau (a decomposition reduced without them reduces
-    once more with them); for a birth simplex the corresponding entries of
-    the perp decomposition.  Both are built once per decomposition.  The
-    support is intersected with the open window of same-dimension values
+    When the crossed simplices enter tau's prefix (a death pushed up, a
+    birth pushed down), the candidates are tau's row of U = V^-1; otherwise
+    they are tau's column of V.  Each basis is built on the first query that needs
+    it and kept with the decomposition.  The support, mapped back to
+    positions, is intersected with the open window of same-dimension values
     between f(tau) and the (clipped) target."""
-    tau = tuple(tau)
-    pos_tau = dec.position(tau)
-    if dec.partner(pos_tau) is None:
-        raise ValueError(f"{tau} is essential; it has no finite pair to preserve")
-    p = len(tau) - 1
-    v0 = float(dec.values[pos_tau])
-    t = _clip_target(dec, tau, t)
-    up = t > v0
-    n = len(dec.simplices)
-    if dec.is_death(pos_tau):
-        V, U = dec.V, dec.U
-        if V is None:  # reduced without a basis: reduce once more with one
-            V, U = _cached(dec, "basis",
-                           lambda: _reduce_columns(dec.boundary_columns(), True)[1:3])
-        support = U[pos_tau] if up else V[pos_tau]
-    else:
-        Vp, Up = _cached(dec, "perp_basis", lambda: perp_basis(dec))
-        pp = n - 1 - pos_tau
-        sup_perp = Vp[pp] if up else Up[pp]
-        support = {n - 1 - q for q in sup_perp}
+    tau, pos_tau, v0, t, up = _moving_set_query(dec, tau, t)
+    death = dec.is_death(pos_tau)
+    mat = dec.D if death else dec.anti_D
+    V, U = mat.basis
+    c = mat.index(pos_tau)
     X = {tau}
-    for q in support:
+    for q in map(mat.index, U[c] if death == up else V[c]):
         s = dec.simplices[q]
-        if len(s) - 1 != p:
-            continue
         v = float(dec.values[q])
-        if (up and v0 < v < t) or (not up and t < v < v0):
+        if len(s) == len(tau) and (v0 < v < t if up else t < v < v0):
             X.add(s)
     return X
 
@@ -452,7 +374,7 @@ def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0)
     """
     theta = np.asarray(theta, dtype=float)
     filt = family.filtration(theta)
-    dec = reduce(filt, with_basis=False)
+    dec = reduce(filt)
     dgm = build_diagram(filt, dec.pairing(), drop_zero_tol=PRUNE_TOL)
     value, _ = loss.evaluate(dgm)
     terms = loss.terms(dgm, push_scale)

@@ -84,7 +84,7 @@ def test_acceptance_02_pairing_oracle(capsys):
     for _ in range(200):
         f = random_filtration(rng, n_vertices=5)
         assert len(f.values) <= 30
-        pairing = reduce(f, with_basis=False).pairing()
+        pairing = reduce(f).pairing()
         for t in np.unique(f.values):
             expected = sublevel_betti(f, t)
             for p, beta in expected.items():
@@ -255,7 +255,7 @@ def test_acceptance_07_moving_sets(capsys):
     for _ in range(200):
         f = random_filtration(rng, n_vertices=6)
         assert len(f.values) <= 50
-        dec = reduce(f, with_basis=True)
+        dec = reduce(f)
         paired = [
             q for q in range(len(dec.simplices)) if dec.partner(q) is not None
         ]
@@ -287,7 +287,7 @@ def test_acceptance_07_moving_sets(capsys):
                 for k, s in enumerate(members)
             }
             moved = Filtration(f.complex, move_values(f.complex, f.values, targets))
-            pairing = reduce(moved, with_basis=False).pairing()
+            pairing = reduce(moved).pairing()
             sigma = dec.simplices[dec.partner(q)]
             preserved = preserved and any(
                 tau in pair and sigma in pair

@@ -160,6 +160,17 @@ def test_descend_rejects_non_finite_theta0(bad):
         descend(fam, X, TotalPersistenceLoss(dims=(0,)), DescentConfig(steps=2))
 
 
+def test_descend_rejects_a_negative_step_count():
+    X = circle_cloud(5)
+    fam = VietorisRips(n_points=5, max_dim=1)
+    loss = TotalPersistenceLoss(dims=(0,))
+    with pytest.raises(ValueError, match="steps"):
+        descend(fam, X, loss, DescentConfig(steps=-1))
+    # zero steps still records the start point
+    _, trace = descend(fam, X, loss, DescentConfig(steps=0))
+    assert len(trace) == 1
+
+
 def test_diffeo_descent_on_vertex_values_names_the_shape():
     """Kernel interpolation moves points; a lower-star family's 1-D vertex
     values are not a point cloud, and the step says so."""

@@ -1,4 +1,5 @@
-"""Reduction invariants, the pairing oracle, the perp basis, diagram IO."""
+"""Reduction invariants, the pairing oracle, the paired matrices behind the
+moving sets, diagram IO."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,9 @@ from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import LowerStar, VietorisRips
 from topo_opt.reduction import (
     _elder_merges,
+    _reduce_columns,
     betti_numbers,
     build_diagram,
-    perp_basis,
     persistence_pairs,
     read_diagram,
     reduce,
@@ -30,21 +31,23 @@ def dense(cols, n):
 
 
 def check_decomposition(dec):
-    """R = D.V, V upper-triangular unit-diagonal, U = V^-1, R reduced; the
-    pivots are R's lowest ones, and partner is an involution on the paired
-    positions that is None exactly on the essential ones."""
+    """R = D.V with V the basis of the D form, V upper-triangular
+    unit-diagonal, U = V^-1, R reduced; the pivots are R's lowest ones, and
+    partner is an involution on the paired positions that is None exactly on
+    the essential ones."""
     n = len(dec.simplices)
     D = np.zeros((n, n), dtype=int)
     for j, s in enumerate(dec.simplices):
         for f in boundary(s):
             D[dec.position(f), j] = 1
     R = dense(dec.R, n)
-    V = dense(dec.V, n)
+    Vcols, Urows = dec.D.basis
+    V = dense(Vcols, n)
     assert ((D @ V) % 2 == R).all()
     assert (np.tril(V, -1) == 0).all()
     assert (np.diag(V) == 1).all()
     U = np.zeros((n, n), dtype=int)
-    for i, row in enumerate(dec.U):
+    for i, row in enumerate(Urows):
         for j in row:
             U[i, j] = 1
     assert ((V @ U) % 2 == np.eye(n, dtype=int)).all()
@@ -103,7 +106,7 @@ def assert_matches_sublevel_rank_oracle(f, pairing):
 def test_pairing_matches_sublevel_rank_oracle(rng):
     for _ in range(25):
         f = random_filtration(rng, n_vertices=5)
-        assert_matches_sublevel_rank_oracle(f, reduce(f, with_basis=False).pairing())
+        assert_matches_sublevel_rank_oracle(f, reduce(f).pairing())
 
 
 def test_persistence_pairs_matches_sublevel_rank_oracle(rng):
@@ -115,7 +118,7 @@ def test_persistence_pairs_matches_sublevel_rank_oracle(rng):
 def assert_same_pairing(f):
     """The cohomology pairing equals the boundary-matrix reduction's, in
     list order and dimension order too."""
-    got, want = persistence_pairs(f), reduce(f, with_basis=False).pairing()
+    got, want = persistence_pairs(f), reduce(f).pairing()
     assert got.pairs == want.pairs
     assert got.unpaired == want.unpaired
     assert list(got.pairs) == list(want.pairs)
@@ -192,7 +195,7 @@ def test_persistence_pairs_equals_reduction_on_circle_subsamples(seed):
     idx = np.sort(np.random.default_rng(seed).choice(len(X), 50, replace=False))
     f = VietorisRips(len(X), max_dim=2).subsample(idx).filtration(X[idx])
     assert_same_pairing(f)
-    got, want = persistence_pairs(f), reduce(f, with_basis=False).pairing()
+    got, want = persistence_pairs(f), reduce(f).pairing()
     for tol in (0.0, 1e-12):
         a, b = build_diagram(f, got, tol), build_diagram(f, want, tol)
         assert list(a.points) == list(b.points) and a.pairs == b.pairs
@@ -312,7 +315,6 @@ def test_torus_betti():
 def test_decomposition_keeps_its_filtration_complex(rng):
     f = random_filtration(rng)
     assert reduce(f).complex is f.complex
-    assert reduce(f, with_basis=False).complex is f.complex
 
 
 def test_perp_basis_inverts_antitransposed_boundary(rng):
@@ -324,7 +326,7 @@ def test_perp_basis_inverts_antitransposed_boundary(rng):
         for face in boundary(s):
             D[dec.position(face), j] = 1
     Dp = D[::-1, ::-1].T
-    Vp, Up = perp_basis(dec)
+    Vp, Up = dec.anti_D.basis
     Vm = dense(Vp, n)
     Rp = (Dp @ Vm) % 2
     lows = [max(c) for c in (set(np.flatnonzero(Rp[:, j])) for j in range(n)) if c]
@@ -334,6 +336,35 @@ def test_perp_basis_inverts_antitransposed_boundary(rng):
         for j in row:
             Um[i, j] = 1
     assert ((Vm @ Um) % 2 == np.eye(n, dtype=int)).all()
+
+
+def assert_reduced_columns_match_a_full_reduction(dec):
+    """For both paired matrices, reduced(c), asked for in an order that makes
+    the on-demand reducer reach back, equals column c of a full left-to-right
+    reduction of the raw columns."""
+    n = len(dec.simplices)
+    for mat in (dec.D, dec.anti_D):
+        assert all(mat.index(mat.index(q)) == q for q in range(n))
+        full, _, _, pivot = _reduce_columns([mat.raw(c) for c in range(n)], False)
+        assert pivot == mat.pivot
+        for c in reversed(range(n)):
+            assert mat.reduced(c) == full[c], (mat.flip, c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 7))
+def test_paired_matrices_reduce_like_a_full_reduction(seed, n_vertices):
+    f = random_filtration(np.random.default_rng(seed), n_vertices=n_vertices)
+    assert_reduced_columns_match_a_full_reduction(reduce(f))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+def test_paired_matrices_reduce_like_a_full_reduction_on_tied_vr(coords):
+    X = np.round(np.reshape(coords, (-1, 2)), 1)
+    assert_reduced_columns_match_a_full_reduction(
+        reduce(VietorisRips(len(X), 2).filtration(X)))
 
 
 def test_diagram_io_roundtrip(tmp_path, rng):

@@ -208,7 +208,7 @@ def test_moving_set_clips_at_coface_with_warning():
 def test_moving_set_members_same_dimension(rng):
     for _ in range(20):
         f = random_filtration(rng, n_vertices=5)
-        dec = reduce(f, with_basis=True)
+        dec = reduce(f)
         for q in finite_positions(dec):
             tau = dec.simplices[q]
             t = float(dec.values[q] + 0.5)
@@ -223,7 +223,7 @@ def test_moving_set_fast_matches_naive(rng):
     checked = 0
     for _ in range(40):
         f = random_filtration(rng, n_vertices=6)
-        dec = reduce(f, with_basis=True)
+        dec = reduce(f)
         for q in finite_positions(dec):
             tau = dec.simplices[q]
             for t in (float(dec.values[q] - 1.5), float(dec.values[q] + 1.5)):
@@ -238,7 +238,7 @@ def test_moving_set_fast_matches_naive(rng):
 
 def test_moving_set_variant_dispatch(rng):
     f = random_filtration(rng, n_vertices=4)
-    dec = reduce(f, with_basis=True)
+    dec = reduce(f)
     q = finite_positions(dec)[0]
     tau = dec.simplices[q]
     with warnings.catch_warnings():
@@ -324,8 +324,7 @@ def check_against_oracle(dec, rng):
 @given(st.integers(0, 10_000), st.integers(4, 7))
 def test_moving_set_naive_matches_repairing_oracle(seed, n_vertices):
     rng = np.random.default_rng(seed)
-    check_against_oracle(reduce(random_filtration(rng, n_vertices=n_vertices),
-                                with_basis=False), rng)
+    check_against_oracle(reduce(random_filtration(rng, n_vertices=n_vertices)), rng)
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,7 +333,7 @@ def test_moving_set_naive_matches_repairing_oracle_on_tied_clouds(seed, n_points
     rng = np.random.default_rng(seed)
     X = np.round(rng.uniform(0.0, 1.0, size=(n_points, 2)), 1)
     filt = VietorisRips(n_points=n_points, max_dim=2).filtration(X)
-    check_against_oracle(reduce(filt, with_basis=False), rng)
+    check_against_oracle(reduce(filt), rng)
 
 
 def test_oracle_comparison_sees_every_case_grow():
@@ -343,42 +342,49 @@ def test_oracle_comparison_sees_every_case_grow():
     rng = np.random.default_rng(5)
     grown = set()
     for _ in range(10):
-        grown |= check_against_oracle(reduce(random_filtration(rng), with_basis=False), rng)
+        grown |= check_against_oracle(reduce(random_filtration(rng)), rng)
     assert grown == {(d, u) for d in (False, True) for u in (False, True)}
 
 
-def test_moving_set_fast_without_basis_reduces_one(rng):
-    for _ in range(10):
-        f = random_filtration(rng, n_vertices=6)
-        with_basis, without = reduce(f), reduce(f, with_basis=False)
-        for q in finite_positions(with_basis):
-            tau = with_basis.simplices[q]
-            for t in (float(with_basis.values[q] - 1.0), float(with_basis.values[q] + 1.0)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    assert moving_set_fast(without, tau, t) == moving_set_fast(with_basis, tau, t)
-        assert without.V is None
+def query_every_finite_simplex(dec):
+    """Naive and fast moving sets of every finite simplex, pushed up and down."""
+    for q in finite_positions(dec):
+        for t in (float(dec.values[q] - 1.0), float(dec.values[q] + 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                moving_set_naive(dec, dec.simplices[q], t)
+                moving_set_fast(dec, dec.simplices[q], t)
 
 
 def test_moving_set_caches_keep_no_cycle(rng):
-    """A decomposition whose caches are filled is freed by reference
-    counting alone: no cached object refers back to it."""
-    for with_basis in (True, False):
-        dec = reduce(random_filtration(rng), with_basis=with_basis)
-        gc.disable()
-        try:
-            for q in finite_positions(dec):
-                for t in (float(dec.values[q] - 1.0), float(dec.values[q] + 1.0)):
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")
-                        moving_set_naive(dec, dec.simplices[q], t)
-                        moving_set_fast(dec, dec.simplices[q], t)
-            assert dec._cache
-            ref = weakref.ref(dec)
-            del dec
-            assert ref() is None
-        finally:
-            gc.enable()
+    """A decomposition whose paired matrices and bases are built is freed by
+    reference counting alone: neither matrix refers back to it."""
+    dec = reduce(random_filtration(rng))
+    gc.disable()
+    try:
+        query_every_finite_simplex(dec)
+        for mat in (dec.D, dec.anti_D):
+            assert "basis" in vars(mat)
+        assert any(col is not None for col in dec.anti_D.columns)
+        ref = weakref.ref(dec)
+        del dec
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_moving_set_queries_leave_the_decomposition_unchanged(rng):
+    # D hands out R's own columns, so a query that changed a reduced column
+    # in place would change R
+    for _ in range(10):
+        dec = reduce(random_filtration(rng, n_vertices=6))
+        R = [set(col) for col in dec.R]
+        pivot, simplices, values = dict(dec.pivot), list(dec.simplices), dec.values.copy()
+        query_every_finite_simplex(dec)
+        assert dec.R == R
+        assert dec.pivot == pivot
+        assert dec.simplices == simplices
+        assert dec.values.tobytes() == values.tobytes()
 
 
 def test_naive_big_step_on_the_circle_builds_no_basis(monkeypatch):
@@ -465,7 +471,7 @@ def test_pairing_only_callers_build_no_decomposition(monkeypatch, rng):
     monkeypatch.setattr(ReducedDecomposition, "__init__", refuse)
     f = random_filtration(rng)
     with pytest.raises(AssertionError):
-        reduce(f, with_basis=False)
+        reduce(f)
     build_diagram(f)
     betti_numbers(f)
     X = rng.normal(size=(7, 2))
