@@ -131,11 +131,13 @@ def check():
 @click.option("--b", "path_b", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--q", default=2.0, show_default=True, type=float)
 def distance(path_a, path_b, q):
-    """Degree-q distance between two diagram files (per dim and combined)."""
-    from .metrics import fg_distance
+    """Degree-q distance between two diagram files (per dim and combined);
+    at q = inf, maxima replace the q-th power sums."""
+    from .metrics import check_order, fg_distance
     from .reduction import read_diagram
 
     try:
+        check_order(q)
         da = read_diagram(path_a)
         db = read_diagram(path_b)
     except (ValueError, OSError) as exc:
@@ -151,12 +153,17 @@ def distance(path_a, path_b, q):
                 click.echo(f"dim {dim}: inf (essential counts differ)")
                 click.echo("total: inf")
                 return
-            ess_cost = float((np.abs(ea - eb) ** q).sum()) if len(ea) else 0.0
             d, _ = fg_distance(da.ordinary(dim), db.ordinary(dim), q=q)
-            dim_total = d**q + ess_cost
-            total += dim_total
-            click.echo(f"dim {dim}: {dim_total ** (1.0 / q):.17g}")
-        click.echo(f"total: {total ** (1.0 / q):.17g}")
+            gaps = np.abs(ea - eb)
+            if np.isinf(q):
+                dim_total = max(d, gaps.max(initial=0.0))
+                total = max(total, dim_total)
+            else:
+                power = d**q + float((gaps**q).sum())
+                total += power
+                dim_total = power ** (1.0 / q)
+            click.echo(f"dim {dim}: {dim_total:.17g}")
+        click.echo(f"total: {total if np.isinf(q) else total ** (1.0 / q):.17g}")
     except Exception as exc:
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)

@@ -1,9 +1,10 @@
 """Distances between persistence diagrams and optimal partial matchings.
 
-The degree-q distance augments each diagram with the diagonal projections
-of the other's points and solves a square assignment problem exactly; the
-bottleneck distance binary-searches the finite set of candidate costs with
-a bipartite feasibility check.
+Both distances solve one partial-matching problem on one augmented cost
+matrix, each diagram gaining a diagonal copy of every point of the other.
+The degree-q distance solves its q-th power as an assignment problem; the
+bottleneck distance binary-searches its entries with a perfect-matching
+check.
 """
 from __future__ import annotations
 
@@ -58,82 +59,75 @@ def _finite_points(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def check_order(value: float, name: str = "q") -> None:
+    """Raise a ValueError unless 1 <= value <= inf (NaN included)."""
+    if not 1.0 <= value <= np.inf:
+        raise ValueError(f"{name} must lie in [1, inf], got {value!r}")
+
+
+def _augmented(a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
+    """The (m1+m2) x (m1+m2) partial-matching costs: rows a then copies of b,
+    columns b then copies of a.  A point costs its ground distance to a
+    point and its diagonal distance to any copy; copy to copy costs 0."""
+    m1, m2 = len(a), len(b)
+    C = np.zeros((m1 + m2, m1 + m2))
+    C[:m1, :m2] = _ground(a, b, inner)
+    C[:m1, m2:] = diagonal_distance(a, inner)[:, None]
+    C[m1:, :m2] = diagonal_distance(b, inner)[None, :]
+    return C
+
+
+def _matching(cols: np.ndarray, m1: int, m2: int, cost: float) -> PartialMatching:
+    """The matching assigning augmented row r to column cols[r], with -1 for
+    a diagonal copy and copy-to-copy pairs dropped."""
+    rows = np.arange(len(cols))
+    keep = (rows < m1) | (cols < m2)
+    ia = np.where(rows < m1, rows, -1)[keep].tolist()
+    ib = np.where(cols < m2, cols, -1)[keep].tolist()
+    return PartialMatching(list(zip(ia, ib)), cost)
+
+
 def fg_distance(
     alpha: np.ndarray,
     beta: np.ndarray,
     q: float = 2.0,
     inner: float | None = None,
 ) -> tuple[float, PartialMatching]:
-    """Degree-q matching distance between two finite diagrams.
+    """Degree-q matching distance between two finite diagrams, 1 <= q <= inf.
 
-    Costs are ground distances raised to the q-th power on the augmented
-    (m1+m2) x (m1+m2) matrix, with zero cost diagonal-to-diagonal; the
-    assignment is solved exactly and the total is taken to the 1/q power.
+    The augmented cost matrix, raised to the q-th power, is solved exactly
+    as an assignment problem and the total is taken to the 1/q power; at
+    q = inf this is the bottleneck distance.
     """
+    inner = q if inner is None else inner
+    check_order(q)
+    check_order(inner, "inner")
     a, b = _finite_points(alpha, beta)
     if np.isinf(q):
         return bottleneck_distance(a, b)
-    if inner is None:
-        inner = q
-    m1, m2 = len(a), len(b)
-    n = m1 + m2
-    if n == 0:
-        return 0.0, PartialMatching([], 0.0)
-    C = np.zeros((n, n))
-    if m1 and m2:
-        C[:m1, :m2] = _ground(a, b, inner) ** q
-    if m1:
-        C[:m1, m2:] = diagonal_distance(a, inner)[:, None] ** q
-    if m2:
-        C[m1:, :m2] = diagonal_distance(b, inner)[None, :] ** q
+    C = _augmented(a, b, inner) ** q
     rows, cols = linear_sum_assignment(C)
-    total = float(C[rows, cols].sum())
-    dist = total ** (1.0 / q)
-    pairs = []
-    for r, c in zip(rows, cols):
-        ia = r if r < m1 else -1
-        ib = c if c < m2 else -1
-        if ia >= 0 or ib >= 0:
-            pairs.append((int(ia), int(ib)))
-    return dist, PartialMatching(pairs, dist)
+    dist = float(C[rows, cols].sum()) ** (1.0 / q)
+    return dist, _matching(cols, len(a), len(b), dist)
 
 
 def bottleneck_distance(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, PartialMatching]:
     """Bottleneck distance (inf-norm ground metric, diagonal at (d-b)/2).
 
-    Binary search over the finite candidate cost set with a bipartite
-    perfect-matching feasibility test on the augmented graph.
+    Binary search over the augmented matrix's entries: cost c is feasible
+    when the edges costing at most c (up to a relative 1e-9) admit a perfect
+    matching, each point reaching only its own diagonal copy.
     """
     a, b = _finite_points(alpha, beta)
     m1, m2 = len(a), len(b)
-    n = m1 + m2
-    if n == 0:
-        return 0.0, PartialMatching([], 0.0)
-    G = _ground(a, b, np.inf) if m1 and m2 else np.empty((m1, m2))
-    da = diagonal_distance(a, np.inf)
-    db = diagonal_distance(b, np.inf)
-    candidates = np.unique(np.concatenate([G.ravel(), da, db, [0.0]]))
+    C = _augmented(a, b, np.inf)
+    candidates = np.unique(np.append(C, 0.0))
+    C[:m1, m2:][~np.eye(m1, dtype=bool)] = np.inf
+    C[m1:, :m2][~np.eye(m2, dtype=bool)] = np.inf
 
     def feasible(c):
-        rows, cols, eps = [], [], 1e-12 + 1e-9 * c
-        for i in range(m1):
-            for j in range(m2):
-                if G[i, j] <= c + eps:
-                    rows.append(i)
-                    cols.append(j)
-            if da[i] <= c + eps:
-                rows.append(i)
-                cols.append(m2 + i)
-        for j in range(m2):
-            if db[j] <= c + eps:
-                rows.append(m1 + j)
-                cols.append(j)
-        for k in range(m1):
-            for l in range(m2):
-                rows.append(m1 + l)
-                cols.append(m2 + k)
-        M = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-        match = maximum_bipartite_matching(M, perm_type="column")
+        eps = 1e-12 + 1e-9 * c
+        match = maximum_bipartite_matching(csr_matrix(C <= c + eps), perm_type="column")
         return None if (match < 0).any() else match
 
     lo, hi = 0, len(candidates) - 1
@@ -146,15 +140,7 @@ def bottleneck_distance(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, Par
         else:
             lo = mid + 1
     c = float(candidates[lo])
-    match = feasible(c)
-    pairs = []
-    for r in range(n):
-        col = int(match[r])
-        ia = r if r < m1 else -1
-        ib = col if col < m2 else -1
-        if ia >= 0 or ib >= 0:
-            pairs.append((ia, ib))
-    return c, PartialMatching(pairs, c)
+    return c, _matching(feasible(c), m1, m2, c)
 
 
 def write_matching(path, matching: PartialMatching) -> None:

@@ -287,20 +287,18 @@ def _pairing(cx: SimplicialComplex, order: np.ndarray, partner: np.ndarray):
     -1 when unpaired) under the filtration order ``order``: pairs by birth
     order, unpaired simplices in filtration order, and dimensions in order
     of first appearance."""
-    blocks = cx.blocks()
-    dim_of = np.repeat(np.arange(len(blocks)), [len(ids) for _, ids in blocks])
     paired = partner[order] >= 0
     ranked = order[paired]
-    births = _by_dim(ranked[dim_of[ranked] < dim_of[partner[ranked]]], dim_of)
+    births = _by_dim(ranked[cx.dim_of[ranked] < cx.dim_of[partner[ranked]]], cx)
     deaths = {p: partner[bs] for p, bs in births.items()}
-    return PersistencePairing(cx, births, deaths, _by_dim(order[~paired], dim_of))
+    return PersistencePairing(cx, births, deaths, _by_dim(order[~paired], cx))
 
 
-def _by_dim(indices: np.ndarray, dim_of: np.ndarray) -> dict[int, np.ndarray]:
+def _by_dim(indices: np.ndarray, cx: SimplicialComplex) -> dict[int, np.ndarray]:
     """Split an index array by simplex dimension, keeping the order within
     each part; dimensions come in order of first appearance."""
-    dims = dim_of[indices]
-    masks = [dims == p for p in range(dim_of[-1] + 1)]
+    dims = cx.dim_of[indices]
+    masks = [dims == p for p in range(cx.dim + 1)]
     present = sorted((int(np.argmax(at)), p) for p, at in enumerate(masks) if at.any())
     return {p: indices[masks[p]] for _, p in present}
 

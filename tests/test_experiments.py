@@ -16,7 +16,7 @@ from topo_opt.experiments import (
     run_subsample_experiment,
 )
 from topo_opt.filtrations import VietorisRips
-from topo_opt.reduction import build_diagram, write_diagram
+from topo_opt.reduction import PersistenceDiagram, build_diagram, write_diagram
 
 
 def test_gen_circle_shape_and_determinism():
@@ -127,6 +127,25 @@ def test_cli_distance(tmp_path):
     res_self = runner.invoke(main, ["distance", "--a", str(pa), "--b", str(pa)])
     total = float(res_self.output.strip().splitlines()[-1].split(":")[1])
     assert total == pytest.approx(0.0, abs=1e-12)
+
+
+def test_cli_distance_infinite_order_takes_maxima(tmp_path):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_diagram(pa, PersistenceDiagram({1: np.array([[0.0, 1.0]])}, {0: np.array([0.0])}))
+    write_diagram(pb, PersistenceDiagram({1: np.array([[0.0, 1.5]])}, {0: np.array([0.25])}))
+    res = CliRunner().invoke(main, ["distance", "--a", str(pa), "--b", str(pb), "--q", "inf"])
+    assert res.exit_code == 0, res.output
+    # dim 0: the essential gap; dim 1: the bottleneck distance 0.5
+    assert res.output.splitlines() == ["dim 0: 0.25", "dim 1: 0.5", "total: 0.5"]
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "0.5", "nan"])
+def test_cli_distance_rejects_orders_outside_one_to_inf(tmp_path, q):
+    pa = tmp_path / "a.csv"
+    write_diagram(pa, PersistenceDiagram({1: np.array([[0.0, 1.0]])}, {}))
+    res = CliRunner().invoke(main, ["distance", "--a", str(pa), "--b", str(pa), "--q", q])
+    assert res.exit_code == 2
+    assert "validation error: q must lie in [1, inf]" in res.output
 
 
 def test_cli_distance_missing_file(tmp_path):

@@ -1,6 +1,8 @@
 """Diagram distances against exhaustive enumeration, axioms, stability."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topo_opt import build_complex
 from topo_opt.complexes import Filtration
@@ -65,6 +67,40 @@ def test_bottleneck_matches_enumeration(rng):
         got, _ = bottleneck_distance(a, b)
         expected = enumerate_matching_cost(a, b, np.inf)
         assert got == pytest.approx(expected, abs=1e-12)
+
+
+# diagrams of integer points: many tied costs, and often none at all
+tied_diagrams = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(lambda bk: (bk[0], bk[0] + bk[1])),
+    max_size=6,
+).map(lambda pts: np.array(pts, dtype=float).reshape(-1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_diagrams, tied_diagrams)
+def test_bottleneck_matching_is_valid(a, b):
+    """The returned pairs use every point of each diagram exactly once, and
+    their largest cost is the returned distance."""
+    dist, matching = bottleneck_distance(a, b)
+    assert sorted(i for i, _ in matching.pairs if i >= 0) == list(range(len(a)))
+    assert sorted(j for _, j in matching.pairs if j >= 0) == list(range(len(b)))
+    costs = [
+        np.abs(a[i] - b[j]).max() if i >= 0 and j >= 0
+        else (a[i, 1] - a[i, 0]) / 2 if i >= 0
+        else (b[j, 1] - b[j, 0]) / 2
+        for i, j in matching.pairs
+    ]
+    assert max(costs, default=0.0) == dist == matching.cost
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"q": 0.0}, {"q": -1.0}, {"q": 0.5}, {"q": np.nan},
+    {"q": 2.0, "inner": 0.0}, {"q": 2.0, "inner": np.nan}, {"q": np.inf, "inner": -1.0},
+])
+def test_orders_outside_one_to_inf_are_rejected(kwargs):
+    bad = kwargs.get("inner", kwargs["q"])
+    with pytest.raises(ValueError, match=f"must lie in \\[1, inf\\], got {bad}"):
+        fg_distance([[0.0, 1.0]], [[0.0, 2.0]], **kwargs)
 
 
 def test_fg_infinite_order_equals_bottleneck(rng):
