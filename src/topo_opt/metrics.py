@@ -93,18 +93,20 @@ def fg_distance(
     q: float = 2.0,
     inner: float | None = None,
 ) -> tuple[float, PartialMatching]:
-    """Degree-q matching distance between two finite diagrams, 1 <= q <= inf.
+    """Degree-q matching distance between two finite diagrams, 1 <= q <= inf,
+    over the inner q'-norm ground metric (q' = ``inner``, q by default).
 
     The augmented cost matrix, raised to the q-th power, is solved exactly
-    as an assignment problem and the total is taken to the 1/q power; at
-    q = inf this is the bottleneck distance.
+    as an assignment problem and the total is taken to the 1/q power.  At
+    q = inf the largest matched cost is minimized instead, still in the
+    inner q'-norm; at q' = inf too this is the bottleneck distance.
     """
     inner = q if inner is None else inner
     check_order(q)
     check_order(inner, "inner")
     a, b = _finite_points(alpha, beta)
     if np.isinf(q):
-        return bottleneck_distance(a, b)
+        return _bottleneck(a, b, inner)
     C = _augmented(a, b, inner) ** q
     rows, cols = linear_sum_assignment(C)
     dist = float(C[rows, cols].sum()) ** (1.0 / q)
@@ -112,15 +114,19 @@ def fg_distance(
 
 
 def bottleneck_distance(alpha: np.ndarray, beta: np.ndarray) -> tuple[float, PartialMatching]:
-    """Bottleneck distance (inf-norm ground metric, diagonal at (d-b)/2).
+    """Bottleneck distance (inf-norm ground metric, diagonal at (d-b)/2)."""
+    return _bottleneck(*_finite_points(alpha, beta), np.inf)
+
+
+def _bottleneck(a: np.ndarray, b: np.ndarray, inner: float) -> tuple[float, PartialMatching]:
+    """The least largest cost of a partial matching, in the inner q'-norm.
 
     Binary search over the augmented matrix's entries: cost c is feasible
     when the edges costing at most c (up to a relative 1e-9) admit a perfect
     matching, each point reaching only its own diagonal copy.
     """
-    a, b = _finite_points(alpha, beta)
     m1, m2 = len(a), len(b)
-    C = _augmented(a, b, np.inf)
+    C = _augmented(a, b, inner)
     candidates = np.unique(np.append(C, 0.0))
     C[:m1, m2:][~np.eye(m1, dtype=bool)] = np.inf
     C[m1:, :m2][~np.eye(m2, dtype=bool)] = np.inf

@@ -1,14 +1,16 @@
 """Boundary-matrix reduction and persistence pairing.
 
-There are two paths:
+Every column is a Python-int bitset, bit r set for row r: a column addition
+is one xor and the lowest one is ``bit_length() - 1``, both in C, where a
+set column would need a scan for its maximum after every addition.  One
+left-to-right reducer, ``_reduce_columns``, serves both paths and the bases:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
-  ones), by the set reducer ``_reduce_columns``; columns are sets of row
-  indices.  A ``ReducedDecomposition`` is not changed after its reduction.
+  ones).  A ``ReducedDecomposition`` is not changed after its reduction.
   It serves the moving sets through two ``_PairedMatrix`` forms, D (whose
-  reduced columns are R) and D's anti-transpose (reduced on demand), each
-  with a basis V, U = V^{-1} built on first read; only the fast moving sets
-  read a basis.
+  reduced columns are R) and D's anti-transpose (reduced on demand by the
+  matrix's prefix reducer), each with a basis V, U = V^{-1} built on first
+  read; only the fast moving sets read a basis.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): dimension 0 by union-find under the elder rule,
   with no vertex cocolumn, then cohomology with clearing, which reduces the
@@ -16,9 +18,7 @@ There are two paths:
   columns already known to be paired.  Apparent pairs (a simplex and its
   earliest coface, when the simplex is that coface's latest face) are read
   off the complex's coboundary and facet arrays with numpy; only the other
-  columns are reduced, each held as a Python-int bitset over the
-  anti-indices, so a column addition is one xor and the lowest one is
-  ``bit_length() - 1``.
+  columns, over the anti-indices, are reduced.
   It yields the same pairing as ``reduce(...).pairing()``.
 
 A ``PersistencePairing`` holds per-dimension arrays of complex positions
@@ -102,32 +102,49 @@ class PersistenceDiagram:
         return sorted(set(self.points) | set(self.essential))
 
 
-def _reduce_columns(cols, with_basis: bool):
-    """Left-to-right reduction of the F2 columns cols[0], ..., cols[n-1], held
-    as row-index sets: the boundary matrix for ``reduce``, and either form
-    of a ``_PairedMatrix`` when its basis is read.
+def _lowest(col: int) -> int:
+    """The lowest one of a bitset column: its highest set bit, -1 for zero."""
+    return col.bit_length() - 1
 
-    Returns (R, V, U, pivot) with V as columns, U as rows (V and U are None
-    when with_basis is False), pivot mapping lowest-one row -> column.
-    """
-    n = len(cols)
-    R = cols
-    V = [{j} for j in range(n)] if with_basis else None
-    U = [{j} for j in range(n)] if with_basis else None
-    pivot = {}
+
+def _bits(col: int):
+    """The set bits of a bitset column, from the top one down."""
+    while col:
+        low = col.bit_length() - 1
+        yield low
+        col ^= 1 << low
+
+
+def _bitset(rows) -> int:
+    """The bitset column with the given rows set."""
+    col = 0
+    for r in rows:
+        col |= 1 << r
+    return col
+
+
+def _reduce_columns(cols, n: int, pivot: dict[int, int], basis=None) -> dict[int, int]:
+    """Left-to-right reduction, in place, of the bitset columns cols[0], ...,
+    cols[n-1] against ``pivot`` (lowest one -> column), which may hold
+    columns from n on: the boundary matrix for ``reduce``, a cohomology
+    dimension of ``persistence_pairs``, and either form of a
+    ``_PairedMatrix`` when its basis (V columns, U rows) is read and passed
+    to be updated.  Returns the pivots."""
+    V, U = basis or (None, None)
     for j in range(n):
-        col = R[j]
+        col = cols[j]
         while col:
-            low = max(col)
+            low = col.bit_length() - 1
             k = pivot.get(low)
             if k is None:
                 pivot[low] = j
                 break
-            col.symmetric_difference_update(R[k])
-            if with_basis:
-                V[j].symmetric_difference_update(V[k])
-                U[k].symmetric_difference_update(U[j])
-    return R, V, U, pivot
+            col ^= cols[k]
+            if V is not None:
+                V[j] ^= V[k]
+                U[k] ^= U[j]
+        cols[j] = col
+    return pivot
 
 
 class _PairedMatrix:
@@ -137,61 +154,67 @@ class _PairedMatrix:
     (co)homology, 2011).
 
     ``index`` maps a position of the order to its column and back: the
-    identity for D, q -> n-1-q for the anti-transpose.  Column c holds the
-    columns of the faces (D) or cofaces (anti-transpose) of its simplex,
-    ``pivot`` maps a lowest one to its column, and ``reduced(c)`` is column c
-    reduced left to right.  ``columns`` keeps the reduced columns, None for
-    one not yet reduced; D's are the decomposition's own R, so D is never
-    reduced twice.  ``basis`` (V columns, U = V^-1 rows) is built on first
-    read.  The matrix holds the decomposition's order but not the
-    decomposition."""
+    identity for D, q -> n-1-q for the anti-transpose.  Column c is a
+    Python-int bitset of the columns of the faces (D) or cofaces
+    (anti-transpose) of its simplex, ``pivot`` maps a lowest one to its
+    column, and ``reduce_prefix`` reduces a column against a prefix of the
+    reduced columns.  ``columns`` keeps the reduced columns, None for one
+    not yet reduced; D's are the decomposition's own R, so D is never
+    reduced twice.  ``basis`` (V columns, U = V^-1 rows, as bitsets) is
+    built on first read.  The matrix holds the decomposition's order but
+    not the decomposition."""
 
     def __init__(self, simplices: list[Simplex], pos: dict[Simplex, int], faces,
-                 pivot: dict[int, int], columns: list[set[int] | None], flip: bool):
+                 pivot: dict[int, int], columns: list[int | None], flip: bool):
         self.n, self.simplices, self.pos, self.faces = len(simplices), simplices, pos, faces
         self.pivot, self.columns, self.flip = pivot, columns, flip
-
-    @cached_property
-    def partner(self) -> dict[int, int]:
-        return {c: row for row, c in self.pivot.items()}
 
     def index(self, q: int) -> int:
         return self.n - 1 - q if self.flip else q
 
-    def raw(self, c: int) -> set[int]:
+    def raw(self, c: int) -> int:
         index, pos = self.index, self.pos
-        return {index(pos[f]) for f in self.faces(self.simplices[index(c)])}
+        return _bitset(index(pos[f]) for f in self.faces(self.simplices[index(c)]))
 
-    def reduced(self, c: int) -> set[int]:
-        """Column c, reduced until its lowest one is its partner, or to zero
-        when it has none; the columns it needs are reduced first, without
-        recursion.  Every lowest one met on the way is claimed by an earlier
-        column, so this is column c of a full left-to-right reduction."""
-        done = self.columns
-        stack, partial = [c], {}
-        while stack:
-            k = stack[-1]
-            if done[k] is not None:
-                stack.pop()
-                continue
-            col = partial.get(k)
-            if col is None:
-                col = partial[k] = self.raw(k)
-            while col and (low := max(col)) != self.partner.get(k):
-                j = self.pivot[low]
-                if done[j] is None:
-                    stack.append(j)
+    def reduce_prefix(self, col: int, bound: int, extra: dict[int, int]) -> int:
+        """col reduced against the reduced columns before ``bound`` and the
+        ``extra`` columns keyed by their lowest ones, until its lowest one is
+        claimed by neither.  A reduced column it needs is reduced first, the
+        same way against the columns before it, without recursion: every
+        lowest one met on the way is claimed by an earlier column, so that
+        is the column of a full left-to-right reduction."""
+        done, pivot, waiting = self.columns, self.pivot, []
+        while True:
+            while col:
+                low = col.bit_length() - 1
+                k = pivot.get(low, bound)  # an unclaimed lowest one is not before bound
+                if k < bound:
+                    if done[k] is None:
+                        waiting.append((col, bound, extra))
+                        col, bound, extra = self.raw(k), k, {}
+                        continue
+                    col ^= done[k]
+                elif low in extra:
+                    col ^= extra[low]
+                else:
                     break
-                col ^= done[j]
-            else:
-                done[k] = partial.pop(k)
-                stack.pop()
-        return done[c]
+            if not waiting:
+                return col
+            done[bound] = col
+            col, bound, extra = waiting.pop()
+
+    def reduced(self, c: int) -> int:
+        """Column c of a full left-to-right reduction, reduced on first read."""
+        if self.columns[c] is None:
+            self.columns[c] = self.reduce_prefix(self.raw(c), c, {})
+        return self.columns[c]
 
     @cached_property
-    def basis(self) -> tuple[list[set[int]], list[set[int]]]:
+    def basis(self) -> tuple[list[int], list[int]]:
         """(V columns, U rows) of one reduction with a basis, U = V^-1."""
-        return _reduce_columns([self.raw(c) for c in range(self.n)], True)[1:3]
+        V, U = [1 << j for j in range(self.n)], [1 << j for j in range(self.n)]
+        _reduce_columns(list(map(self.raw, range(self.n))), self.n, {}, (V, U))
+        return V, U
 
 
 class ReducedDecomposition:
@@ -204,8 +227,8 @@ class ReducedDecomposition:
         self.simplices: list[Simplex] = list(map(cx.simplices.__getitem__, order.tolist()))
         self.values: np.ndarray = filtration.values[order]
         self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self.R, _, _, self.pivot = _reduce_columns(
-            [{self.pos[f] for f in boundary(s)} for s in self.simplices], False)
+        self.R = [_bitset(map(self.pos.__getitem__, boundary(s))) for s in self.simplices]
+        self.pivot = _reduce_columns(self.R, len(self.R), {})
 
     @cached_property
     def D(self) -> _PairedMatrix:
@@ -238,7 +261,7 @@ class ReducedDecomposition:
     def partner(self, i: int) -> int | None:
         """Position paired with position i, or None if essential."""
         if self.R[i]:
-            return max(self.R[i])
+            return _lowest(self.R[i])
         return self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
@@ -361,11 +384,7 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     extrema are taken over index arrays (the coboundary and the facets of
     the complex), the apparent pairs seed the pivots, and only the other
     columns are reduced; an apparent column is built only when a reduced
-    column meets its pivot.  A column is a Python-int bitset with bit e set
-    for anti-index e: an addition is one xor and the pivot is
-    ``bit_length() - 1``, both in C, where a set column would need a scan
-    for its maximum after every addition (one column of a 50-point VR
-    complex can take over 100 additions and grow to thousands of entries).
+    column meets its pivot.
     """
     cx = filtration.complex
     n = len(cx)
@@ -401,18 +420,8 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
         apparent[has] = latest == start + rows[has]
         rest = rows[~apparent]
         keys = np.concatenate([rest, rows[apparent]])
-        cols = _Coboundaries(indptr, entries, keys)
-        pivot = dict(zip(top[apparent].tolist(), range(len(rest), len(rows))))
-        for j in range(len(rest)):
-            col = cols[j]
-            while col:
-                low = col.bit_length() - 1
-                k = pivot.get(low)
-                if k is None:
-                    pivot[low] = j
-                    cols[j] = col
-                    break
-                col ^= cols[k]
+        pivot = _reduce_columns(_Coboundaries(indptr, entries, keys), len(rest),
+                                dict(zip(top[apparent].tolist(), range(len(rest), len(rows)))))
         births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
         deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
         partner[births] = deaths

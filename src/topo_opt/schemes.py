@@ -15,7 +15,7 @@ import numpy as np
 
 from .complexes import NotMonotoneError, Simplex, boundary, total_order
 from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
-from .reduction import ReducedDecomposition, _PairedMatrix, build_diagram, reduce
+from .reduction import ReducedDecomposition, _bits, _lowest, build_diagram, reduce
 
 
 def vanilla_gradient(family, theta, loss: DiagramLoss):
@@ -243,21 +243,6 @@ def _moving_set_query(dec: ReducedDecomposition, tau, t: float):
     return tau, pos_tau, v0, t, t > v0
 
 
-def _reduce_prefix(mat: _PairedMatrix, col: set[int], bound: int, extra: dict) -> set[int]:
-    """Reduce col against the matrix's reduced columns before ``bound`` and
-    the extra columns keyed by their lowest ones.  Mutates and returns col."""
-    while col:
-        low = max(col)
-        k = mat.pivot.get(low)
-        if k is not None and k < bound:
-            col ^= mat.reduced(k)
-        elif low in extra:
-            col ^= extra[low]
-        else:
-            break
-    return col
-
-
 def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     """Simplices that must move along when tau's value moves to t.
 
@@ -298,29 +283,25 @@ def moving_set_naive(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     death = dec.is_death(pos_tau)
     mat = dec.D if death else dec.anti_D
     c_tau, r_sigma = mat.index(pos_tau), mat.index(dec.partner(pos_tau))
-
-    def pairs_with_sigma(col):
-        return bool(col) and max(col) == r_sigma
-
     if death == up:
         # candidates enter tau's prefix; the crossed ones stay in it
-        crossed: dict[int, set[int]] = {}
+        crossed: dict[int, int] = {}
         for q in window:
-            col = _reduce_prefix(mat, mat.raw(mat.index(q)), c_tau, crossed)
-            if pairs_with_sigma(col):
+            col = mat.reduce_prefix(mat.raw(mat.index(q)), c_tau, crossed)
+            if _lowest(col) == r_sigma:
                 X.add(dec.simplices[q])
             elif col:
-                crossed[max(col)] = col
+                crossed[_lowest(col)] = col
         return X
     # candidates leave tau's prefix; the block's members come before tau
     members: list[int] = []
     for q in window:
         c, block = mat.index(q), {}
         for m in reversed(members):
-            col = _reduce_prefix(mat, mat.raw(m), c, block)
+            col = mat.reduce_prefix(mat.raw(m), c, block)
             if col:
-                block[max(col)] = col
-        if not pairs_with_sigma(_reduce_prefix(mat, mat.raw(c_tau), c, block)):
+                block[_lowest(col)] = col
+        if _lowest(mat.reduce_prefix(mat.raw(c_tau), c, block)) != r_sigma:
             members.append(c)
             X.add(dec.simplices[q])
     return X
@@ -331,18 +312,19 @@ def moving_set_fast(dec: ReducedDecomposition, tau, t: float) -> set[Simplex]:
     column: D for a death, D's anti-transpose for a birth.
 
     When the crossed simplices enter tau's prefix (a death pushed up, a
-    birth pushed down), the candidates are tau's row of U = V^-1; otherwise
-    they are tau's column of V.  Each basis is built on the first query that needs
-    it and kept with the decomposition.  The support, mapped back to
-    positions, is intersected with the open window of same-dimension values
-    between f(tau) and the (clipped) target."""
+    birth pushed down), the candidates are the set bits of tau's row of
+    U = V^-1; otherwise they are those of tau's column of V.  Each basis is
+    built on the first query that needs it and kept with the decomposition.
+    The support, mapped back to positions, is intersected with the open
+    window of same-dimension values between f(tau) and the (clipped)
+    target."""
     tau, pos_tau, v0, t, up = _moving_set_query(dec, tau, t)
     death = dec.is_death(pos_tau)
     mat = dec.D if death else dec.anti_D
     V, U = mat.basis
     c = mat.index(pos_tau)
     X = {tau}
-    for q in map(mat.index, U[c] if death == up else V[c]):
+    for q in map(mat.index, _bits(U[c] if death == up else V[c])):
         s = dec.simplices[q]
         v = float(dec.values[q])
         if len(s) == len(tau) and (v0 < v < t if up else t < v < v0):

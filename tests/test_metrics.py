@@ -62,11 +62,22 @@ def test_fg_matches_enumeration(rng):
 
 
 def test_bottleneck_matches_enumeration(rng):
-    for _ in range(60):
+    for inner in (1.0, 2.0, np.inf) * 60:
         a, b = random_diagram(rng), random_diagram(rng)
-        got, _ = bottleneck_distance(a, b)
-        expected = enumerate_matching_cost(a, b, np.inf)
+        got, matching = fg_distance(a, b, q=np.inf, inner=inner)
+        expected = enumerate_matching_cost(a, b, np.inf, inner)
         assert got == pytest.approx(expected, abs=1e-12)
+        assert matching.cost == got
+        if np.isinf(inner):
+            assert bottleneck_distance(a, b)[0] == got
+
+
+def test_infinite_order_honours_the_inner_norm():
+    # matched, the points cost |0 - 0.5| + |1 - 2| = 1.5 in the 1-norm (1 in
+    # the inf-norm); on the diagonal they cost 1 and 1.5 (0.5 and 0.75)
+    a, b = np.array([[0.0, 1.0]]), np.array([[0.5, 2.0]])
+    assert fg_distance(a, b, q=np.inf, inner=1.0)[0] == 1.5
+    assert fg_distance(a, b, q=np.inf)[0] == 0.75
 
 
 # diagrams of integer points: many tied costs, and often none at all
