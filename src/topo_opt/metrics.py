@@ -97,7 +97,11 @@ def fg_distance(
     over the inner q'-norm ground metric (q' = ``inner``, q by default).
 
     The augmented cost matrix, raised to the q-th power, is solved exactly
-    as an assignment problem and the total is taken to the 1/q power.  At
+    as an assignment problem and the total is taken to the 1/q power.  When
+    those powers leave the float range, the matrix is first divided by the
+    bottleneck value s in the same inner norm: the scaled optimal sum is at
+    least 1, a term that underflows is below 2^-1074 of it, and an entry
+    that overflows to inf is in no optimal matching.  At
     q = inf the largest matched cost is minimized instead, still in the
     inner q'-norm; at q' = inf too this is the bottleneck distance.
     """
@@ -107,9 +111,14 @@ def fg_distance(
     a, b = _finite_points(alpha, beta)
     if np.isinf(q):
         return _bottleneck(a, b, inner)
-    C = _augmented(a, b, inner) ** q
-    rows, cols = linear_sum_assignment(C)
-    dist = float(C[rows, cols].sum()) ** (1.0 / q)
+    C, s = _augmented(a, b, inner), 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        P = C ** q
+        if not (np.isfinite(P).all() and (P >= np.finfo(float).tiny)[C > 0].all()):
+            s = _bottleneck(a, b, inner)[0] or 1.0
+            P = (C / s) ** q
+    rows, cols = linear_sum_assignment(P)
+    dist = float(P[rows, cols].sum()) ** (1.0 / q) * s
     return dist, _matching(cols, len(a), len(b), dist)
 
 

@@ -3,33 +3,34 @@
 Every column is a Python-int bitset, bit r set for row r: a column addition
 is one xor and the lowest one is ``bit_length() - 1``, both in C, where a
 set column would need a scan for its maximum after every addition.  One
-left-to-right reducer, ``_reduce_columns``, serves both paths and the bases:
+left-to-right reducer, ``_reduce_columns``, serves both paths and the bases,
+and both read the complex only through its facet and coboundary arrays:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
-  ones).  A ``ReducedDecomposition`` is not changed after its reduction.
-  It serves the moving sets through two ``_PairedMatrix`` forms, D (whose
-  reduced columns are R) and D's anti-transpose (reduced on demand by the
-  matrix's prefix reducer), each with a basis V, U = V^{-1} built on first
-  read; only the fast moving sets read a basis.
+  ones), in positions of the total order.  A ``ReducedDecomposition`` is
+  not changed after its reduction.  It serves the moving sets through two
+  ``_PairedMatrix`` forms, D (whose reduced columns are R) and D's
+  anti-transpose (each column a coboundary slice, reduced on demand), each
+  with a basis V, U = V^{-1} built on first read; only the fast moving sets
+  read a basis.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): dimension 0 by union-find under the elder rule,
   with no vertex cocolumn, then cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time from dimension 1 and skips the
   columns already known to be paired.  Apparent pairs (a simplex and its
-  earliest coface, when the simplex is that coface's latest face) are read
-  off the complex's coboundary and facet arrays with numpy; only the other
-  columns, over the anti-indices, are reduced.
-  It yields the same pairing as ``reduce(...).pairing()``.
+  earliest coface, when the simplex is that coface's latest face) are found
+  with numpy; only the other columns, over the anti-indices, are reduced.
 
-A ``PersistencePairing`` holds per-dimension arrays of complex positions
-(births, deaths, essential births); its simplex lists are built on first
-read, and ``build_diagram`` reads the filtration values at those positions.
+Both paths hand their pairing to ``_pairing``, which holds it as
+per-dimension arrays of complex positions (a ``PersistencePairing``); its
+simplex lists are built on first read, and ``build_diagram`` reads the
+filtration values at those positions.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .complexes import (
     Simplex,
     SimplicialComplex,
     _order_indices,
-    boundary,
     read_table,
     write_table,
 )
@@ -154,27 +154,25 @@ class _PairedMatrix:
     (co)homology, 2011).
 
     ``index`` maps a position of the order to its column and back: the
-    identity for D, q -> n-1-q for the anti-transpose.  Column c is a
-    Python-int bitset of the columns of the faces (D) or cofaces
-    (anti-transpose) of its simplex, ``pivot`` maps a lowest one to its
-    column, and ``reduce_prefix`` reduces a column against a prefix of the
-    reduced columns.  ``columns`` keeps the reduced columns, None for one
-    not yet reduced; D's are the decomposition's own R, so D is never
-    reduced twice.  ``basis`` (V columns, U = V^-1 rows, as bitsets) is
-    built on first read.  The matrix holds the decomposition's order but
-    not the decomposition."""
+    identity for D, q -> n-1-q for the anti-transpose.  ``rows(c)`` lists
+    the rows of column c, the columns of the faces (D) or cofaces
+    (anti-transpose) of its simplex, and ``raw(c)`` is that column as a
+    Python-int bitset.  ``pivot`` maps a lowest one to its column, and
+    ``reduce_prefix`` reduces a column against a prefix of the reduced
+    columns.  ``columns`` keeps the reduced columns, None for one not yet
+    reduced; D's are the decomposition's own R, so D is never reduced twice.
+    ``basis`` (V columns, U = V^-1 rows, as bitsets) is built on first read.
+    The matrix holds no reference to the decomposition."""
 
-    def __init__(self, simplices: list[Simplex], pos: dict[Simplex, int], faces,
-                 pivot: dict[int, int], columns: list[int | None], flip: bool):
-        self.n, self.simplices, self.pos, self.faces = len(simplices), simplices, pos, faces
+    def __init__(self, rows, pivot: dict[int, int], columns: list[int | None], flip: bool):
+        self.n, self.rows = len(columns), rows
         self.pivot, self.columns, self.flip = pivot, columns, flip
 
     def index(self, q: int) -> int:
         return self.n - 1 - q if self.flip else q
 
     def raw(self, c: int) -> int:
-        index, pos = self.index, self.pos
-        return _bitset(index(pos[f]) for f in self.faces(self.simplices[index(c)]))
+        return _bitset(self.rows(c))
 
     def reduce_prefix(self, col: int, bound: int, extra: dict[int, int]) -> int:
         """col reduced against the reduced columns before ``bound`` and the
@@ -218,42 +216,51 @@ class _PairedMatrix:
 
 
 class ReducedDecomposition:
-    """Reduced decomposition of a filtration's boundary matrix.  Not changed
-    after its reduction; ``D`` and ``anti_D`` are built on first read."""
+    """Reduced decomposition of a filtration's boundary matrix, in positions
+    of its total order (``order`` maps one to its complex index, ``rank``
+    back): ``faces[q]`` and ``cofaces(q)`` are the face and coface positions
+    of position q, read off the complex's index arrays.  Not changed after
+    its reduction; ``simplices``, ``D`` and ``anti_D`` are built on first read."""
 
     def __init__(self, filtration: Filtration):
         cx = self.complex = filtration.complex
-        order = _order_indices(filtration)
-        self.simplices: list[Simplex] = list(map(cx.simplices.__getitem__, order.tolist()))
-        self.values: np.ndarray = filtration.values[order]
-        self.pos: dict[Simplex, int] = {s: i for i, s in enumerate(self.simplices)}
-        self.R = [_bitset(map(self.pos.__getitem__, boundary(s))) for s in self.simplices]
+        self.order = _order_indices(filtration)
+        self.rank = np.argsort(self.order)
+        self.values: np.ndarray = filtration.values[self.order]
+        self.cofaces = partial(_cofaces, cx, self.order, self.rank)
+        by_index = [[]] * cx.n_vertices()
+        for p in range(1, cx.dim + 1):
+            by_index += self.rank[cx.facets(p)].tolist()
+        self.faces: list[list[int]] = list(map(by_index.__getitem__, self.order.tolist()))
+        self.R = list(map(_bitset, self.faces))
         self.pivot = _reduce_columns(self.R, len(self.R), {})
+
+    @cached_property
+    def simplices(self) -> list[Simplex]:
+        """The simplices in filtration order."""
+        return list(map(self.complex.simplices.__getitem__, self.order.tolist()))
 
     @cached_property
     def D(self) -> _PairedMatrix:
         """The boundary matrix, reduced: its reduced columns are R."""
-        return _PairedMatrix(self.simplices, self.pos, boundary, self.pivot, self.R,
-                             flip=False)
+        return _PairedMatrix(self.faces.__getitem__, self.pivot, self.R, flip=False)
 
     @cached_property
     def anti_D(self) -> _PairedMatrix:
         """The anti-transposed boundary matrix, reduced on demand."""
-        n = len(self.simplices)
-        return _PairedMatrix(self.simplices, self.pos, self.complex.cofaces,
+        n = len(self.order)
+        anti = partial(_cofaces, self.complex, self.order, n - 1 - self.rank)
+        return _PairedMatrix(lambda c: anti(n - 1 - c).tolist(),
                              {n - 1 - c: n - 1 - row for row, c in self.pivot.items()},
                              [None] * n, flip=True)
 
     # -- queries ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.simplices)
-
     def position(self, s: Simplex) -> int:
-        return self.pos[tuple(s)]
+        return int(self.rank[self.complex.index[tuple(s)]])
 
     def value_of(self, s: Simplex) -> float:
-        return float(self.values[self.pos[tuple(s)]])
+        return float(self.values[self.position(s)])
 
     def is_death(self, i: int) -> bool:
         return bool(self.R[i])
@@ -265,20 +272,23 @@ class ReducedDecomposition:
         return self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
-        index = self.complex.index
-        births: dict[int, list] = defaultdict(list)
-        deaths: dict[int, list] = defaultdict(list)
-        essential: dict[int, list] = defaultdict(list)
-        for c, s in enumerate(self.simplices):
-            if not self.R[c] and c not in self.pivot:
-                essential[len(s) - 1].append(index[s])
-        for r, c in sorted(self.pivot.items()):
-            b = self.simplices[r]
-            births[len(b) - 1].append(index[b])
-            deaths[len(b) - 1].append(index[self.simplices[c]])
-        arrays = lambda lists: {p: np.array(v, dtype=np.intp) for p, v in lists.items()}
-        return PersistencePairing(self.complex, arrays(births), arrays(deaths),
-                                  arrays(essential))
+        partner = np.full(len(self.order), -1, dtype=np.intp)
+        pairs = np.array(list(self.pivot.items()), dtype=np.intp).reshape(-1, 2)
+        births, deaths = self.order[pairs.T]
+        partner[births], partner[deaths] = deaths, births
+        return _pairing(self.complex, self.order, partner)
+
+
+def _cofaces(cx: SimplicialComplex, order: np.ndarray, rank: np.ndarray, q: int) -> np.ndarray:
+    """The cofaces of the simplex at position q of ``order``, one slice of
+    the complex's coboundary arrays, mapped through ``rank`` to positions."""
+    i = order[q]
+    p = int(cx.dim_of[i])
+    if p == cx.dim:
+        return rank[:0]
+    indptr, cofaces = cx.coboundary(p)
+    r = i - cx.blocks()[p][0]
+    return rank[cofaces[indptr[r]:indptr[r + 1]]]
 
 
 def reduce(filtration: Filtration) -> ReducedDecomposition:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import NotMonotoneError, Simplex, boundary, total_order
+from .complexes import NotMonotoneError, Simplex, total_order
 from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
 from .reduction import ReducedDecomposition, _bits, _lowest, build_diagram, reduce
 
@@ -210,31 +210,23 @@ def stratified_gradient_const(family, theta, loss: DiagramLoss, cfg: StratifiedC
 def _clip_target(dec: ReducedDecomposition, tau: Simplex, t: float) -> float:
     """Clamp the target value so tau never crosses one of its own faces or
     cofaces; crossing either would break monotonicity of the filtration."""
-    v = dec.value_of(tau)
-    if t < v:
-        face_vals = [dec.value_of(f) for f in boundary(tau)]
-        if face_vals and t < max(face_vals):
-            bound = max(face_vals)
-            warnings.warn(
-                f"target {t} for {tau} clipped at face value {bound}"
-            )
-            return bound
-    elif t > v:
-        cof_vals = [dec.value_of(c) for c in dec.complex.cofaces(tau)]
-        if cof_vals and t > min(cof_vals):
-            bound = float(min(cof_vals))
-            warnings.warn(
-                f"target {t} for {tau} clipped at coface value {bound}"
-            )
-            return bound
+    q = dec.position(tau)
+    up = t > dec.values[q]
+    near = dec.values[dec.cofaces(q) if up else dec.faces[q]]
+    bound = float(near.min(initial=np.inf) if up else near.max(initial=-np.inf))
+    if t > bound if up else t < bound:
+        warnings.warn(f"target {t} for {tau} clipped at {'coface' if up else 'face'} value {bound}")
+        return bound
     return t
 
 
 def _moving_set_query(dec: ReducedDecomposition, tau, t: float):
     """Check a moving-set query: returns (tau, its position, f(tau), the
     clipped target, whether it lies above f(tau)).  An essential tau is an
-    error: it has no pair to preserve."""
+    error: it has no pair to preserve, and so is a non-finite target."""
     tau = tuple(tau)
+    if not np.isfinite(t):
+        raise ValueError(f"moving-set target t={t} for {tau} is not finite")
     pos_tau = dec.position(tau)
     if dec.partner(pos_tau) is None:
         raise ValueError(f"{tau} is essential; it has no finite pair to preserve")
@@ -467,7 +459,8 @@ def diffeo_interpolate(X: np.ndarray, grad: np.ndarray, sigma: float,
     Coefficients solve (K + ridge*I) alpha = grad on the support of the
     gradient, K_ij = exp(-||x_i-x_j||^2 / (2 sigma^2)).  A singular system at
     ridge=0 falls back to ridge=1e-10 with a warning.  X and grad must be
-    point clouds of one shape (n, d); anything else raises ValueError.
+    point clouds of one shape (n, d), and sigma finite and positive;
+    anything else raises ValueError.
     """
     X = np.asarray(X, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -475,6 +468,8 @@ def diffeo_interpolate(X: np.ndarray, grad: np.ndarray, sigma: float,
         raise ValueError(
             f"diffeo_interpolate needs points and a gradient of one shape (n, d);"
             f" got points of shape {X.shape} and a gradient of shape {grad.shape}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"diffeo_interpolate needs a finite positive sigma, got {sigma!r}")
     support = np.where(np.linalg.norm(grad, axis=1) > 0)[0]
     if len(support) == 0:
         return GaussianField(X[:0], grad[:0], sigma)

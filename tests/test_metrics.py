@@ -72,6 +72,35 @@ def test_bottleneck_matches_enumeration(rng):
             assert bottleneck_distance(a, b)[0] == got
 
 
+def scaled_enumeration(a, b, q, inner=None):
+    """The enumeration oracle on the points divided by their bottleneck
+    value s, times s, as d(a, b) = s * d(a / s, b / s): at large q the
+    oracle's own q-th powers underflow (to a distance of 0) or overflow."""
+    s = enumerate_matching_cost(a, b, np.inf, q if inner is None else inner) or 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        return s * enumerate_matching_cost(a / s, b / s, q, inner)
+
+
+def test_fg_matches_enumeration_at_large_orders(rng):
+    for _ in range(40):
+        a, b = random_diagram(rng), random_diagram(rng)
+        for q, expected in ((50.0, enumerate_matching_cost(a, b, 50.0)),
+                            (500.0, scaled_enumeration(a, b, 500.0))):
+            dist, matching = fg_distance(a, b, q=q)
+            assert dist == pytest.approx(expected, rel=1e-9, abs=1e-12)
+            assert matching.cost == dist
+
+
+def test_fg_at_an_order_whose_powers_leave_the_float_range():
+    # unscaled, the 3000-th powers underflow to a distance of 0 (inner =
+    # 3000) or overflow until scipy finds no assignment (inner = 1)
+    a, b = np.array([[0.0, 1.0]]), np.array([[0.5, 2.0]])
+    for inner, near in ((3000.0, 0.75), (1.0, 1.5)):
+        dist = fg_distance(a, b, q=3000.0, inner=inner)[0]
+        assert dist == pytest.approx(scaled_enumeration(a, b, 3000.0, inner), rel=1e-12)
+        assert dist == pytest.approx(near, rel=1e-3)
+
+
 def test_infinite_order_honours_the_inner_norm():
     # matched, the points cost |0 - 0.5| + |1 - 2| = 1.5 in the 1-norm (1 in
     # the inf-norm); on the diagonal they cost 1 and 1.5 (0.5 and 0.75)

@@ -122,12 +122,31 @@ def test_persistence_pairs_matches_sublevel_rank_oracle(rng):
 
 def assert_same_pairing(f):
     """The cohomology pairing equals the boundary-matrix reduction's, in
-    list order and dimension order too."""
-    got, want = persistence_pairs(f), reduce(f).pairing()
+    list order and dimension order too, and that order is the documented
+    one: pairs by birth position, unpaired simplices in filtration order,
+    dimensions in order of first appearance."""
+    dec = reduce(f)
+    got, want = persistence_pairs(f), dec.pairing()
     assert got.pairs == want.pairs
     assert got.unpaired == want.unpaired
     assert list(got.pairs) == list(want.pairs)
     assert list(got.unpaired) == list(want.unpaired)
+    at = dec.position
+    assert ([(p, [(at(b), at(d)) for b, d in ps]) for p, ps in got.pairs.items()]
+            == by_dim(dec, sorted(dec.pivot.items()), birth=lambda pair: pair[0]))
+    paired = set(dec.pivot) | set(dec.pivot.values())
+    assert ([(p, list(map(at, us))) for p, us in got.unpaired.items()]
+            == by_dim(dec, [q for q in range(len(dec.simplices)) if q not in paired]))
+
+
+def by_dim(dec, items, birth=lambda q: q):
+    """Items grouped by the dimension of the simplex at their birth
+    position, as (dimension, items) in order of first appearance, each
+    group in the given order."""
+    out = {}
+    for x in items:
+        out.setdefault(len(dec.simplices[birth(x)]) - 1, []).append(x)
+    return list(out.items())
 
 
 def assert_diagram_reads_the_pairing(f, drop_zero_tol):
@@ -291,6 +310,15 @@ def test_vanilla_step_and_set_up_never_build_the_simplex_list_or_index(rng):
     assert dgm2.pairs == dgm.pairs
 
 
+def test_reduce_never_builds_the_simplex_list_or_index(rng):
+    X = rng.normal(size=(12, 2))
+    fam = VietorisRips(len(X), 2)
+    dec = reduce(fam.filtration(X))
+    assert not {"simplices", "index"} & vars(fam.complex).keys()
+    assert "simplices" not in vars(dec)
+    assert dec.pairing().pairs == persistence_pairs(fam.filtration(X)).pairs
+
+
 def test_pairing_invariant_under_monotone_rescaling(rng):
     f = random_filtration(rng)
     g = Filtration(f.complex, 3.0 * f.values + 1.0)
@@ -344,12 +372,21 @@ def test_anti_D_basis_inverts_antitransposed_boundary(rng):
 
 
 def assert_reduced_columns_match_a_full_reduction(dec):
-    """For both paired matrices, reduced(c), asked for in an order that makes
-    the on-demand reducer reach back, equals column c of a full left-to-right
-    reduction of the raw columns."""
+    """For both paired matrices, the raw columns are those of D and of its
+    anti-transpose built from the simplex tuples, and reduced(c), asked for
+    in an order that makes the on-demand reducer reach back, equals column c
+    of a full left-to-right reduction of the raw columns."""
     n = len(dec.simplices)
+    faces = [{dec.position(f) for f in boundary(s)} for s in dec.simplices]
+    cofaces = [set() for _ in range(n)]
+    for q, rows in enumerate(faces):
+        for r in rows:
+            cofaces[r].add(q)
     for mat in (dec.D, dec.anti_D):
         assert all(mat.index(mat.index(q)) == q for q in range(n))
+        for q in range(n):
+            want = {mat.index(r) for r in (cofaces if mat.flip else faces)[q]}
+            assert set(rows_of(mat.raw(mat.index(q)))) == want, (mat.flip, q)
         full = [mat.raw(c) for c in range(n)]
         pivot = _reduce_columns(full, n, {})
         assert pivot == mat.pivot

@@ -203,6 +203,20 @@ def test_moving_set_clips_at_coface_with_warning():
     with pytest.warns(UserWarning, match="clipped at coface"):
         X = moving_set_fast(dec, edge, 100.0)
     assert edge in X
+    # and pulling the triangle below its latest edge clips at that edge
+    with pytest.warns(UserWarning, match="clipped at face value 3.0"):
+        assert moving_set_naive(dec, (0, 1, 2), -100.0) == {(0, 1, 2)}
+
+
+@pytest.mark.parametrize("moving_set_variant", [moving_set_naive, moving_set_fast])
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_moving_set_rejects_a_non_finite_target(moving_set_variant, t):
+    X = gen_circle(8)
+    dec = reduce(VietorisRips(len(X), 2).filtration(X))
+    tau = next(s for q, s in enumerate(dec.simplices)
+               if len(s) == 2 and dec.partner(q) is not None)
+    with pytest.raises(ValueError, match=f"target t={t} "):
+        moving_set_variant(dec, tau, t)
 
 
 def test_moving_set_members_same_dimension(rng):
@@ -556,6 +570,13 @@ def test_diffeo_singular_kernel_falls_back_with_warning():
 def test_diffeo_rejects_gradients_that_are_not_point_clouds(X_shape, grad_shape):
     with pytest.raises(ValueError, match=r"shape \(n, d\)"):
         diffeo_interpolate(np.ones(X_shape), np.ones(grad_shape), sigma=0.5)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -0.05, np.nan])
+def test_diffeo_rejects_a_bandwidth_that_is_not_finite_and_positive(rng, sigma):
+    X = rng.normal(size=(4, 2))
+    with pytest.raises(ValueError, match="finite positive sigma"):
+        diffeo_interpolate(X, np.ones_like(X), sigma=sigma)
 
 
 def test_diffeo_empty_gradient(rng):
