@@ -132,8 +132,10 @@ def check():
 @click.option("--q", default=2.0, show_default=True, type=float)
 def distance(path_a, path_b, q):
     """Degree-q distance between two diagram files (per dim and combined);
-    at q = inf, maxima replace the q-th power sums."""
-    from .metrics import check_order, fg_distance
+    at q = inf, maxima replace the q-th power sums.  At large finite q the
+    sums are taken as ``fg_distance`` takes its own, divided by the largest
+    term when the q-th powers leave the float range."""
+    from .metrics import _qnorm, check_order, fg_distance
     from .reduction import read_diagram
 
     try:
@@ -144,7 +146,7 @@ def distance(path_a, path_b, q):
         click.echo(f"validation error: {exc}", err=True)
         sys.exit(2)
     try:
-        total = 0.0
+        total, terms = 0.0, ()
         dims = sorted(set(da.dims()) | set(db.dims()))
         for dim in dims:
             ea = np.sort(da.essential.get(dim, np.empty(0)))
@@ -159,11 +161,10 @@ def distance(path_a, path_b, q):
                 dim_total = max(d, gaps.max(initial=0.0))
                 total = max(total, dim_total)
             else:
-                power = d**q + float((gaps**q).sum())
-                total += power
-                dim_total = power ** (1.0 / q)
+                dim_total = _qnorm((d, gaps), q)[0]
+                terms += ((d, gaps),)
             click.echo(f"dim {dim}: {dim_total:.17g}")
-        click.echo(f"total: {total if np.isinf(q) else total ** (1.0 / q):.17g}")
+        click.echo(f"total: {total if np.isinf(q) else _qnorm(terms, q)[0]:.17g}")
     except Exception as exc:
         click.echo(f"runtime error: {exc}", err=True)
         sys.exit(1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import diagonal_distance, fg_distance
+from .metrics import _qnorm, diagonal_distance, fg_distance
 from .reduction import PersistenceDiagram
 
 PRUNE_TOL = 1e-12
@@ -241,9 +241,11 @@ class SingletonLoss(DiagramLoss):
 
 class EmptyDiagramDistanceLoss(DiagramLoss):
     """sign * FG_q(diagram, empty): the q-norm of persistences over sqrt(2)
-    style diagonal distances.  sign=-1 rewards persistent features.  For
-    q = inf it is sign times the largest (d - b) / 2, whose gradient moves
-    the first point that attains it."""
+    style diagonal distances.  sign=-1 rewards persistent features.  When
+    the q-th powers leave the float range (large finite q), the distances
+    are divided by the largest one first, as ``fg_distance`` does, so the
+    value and partials stay exact.  For q = inf it is sign times the largest
+    (d - b) / 2, whose gradient moves the first point that attains it."""
 
     def __init__(self, dim: int = 1, q: float = 2.0, sign: float = -1.0):
         self.dims = (dim,)
@@ -261,13 +263,12 @@ class EmptyDiagramDistanceLoss(DiagramLoss):
             grad[i] = (-self.sign / 2.0, self.sign / 2.0)
             return self.sign * float(dd[i]), {self.dims[0]: grad}
         dd = diagonal_distance(pts, self.q)
-        total = float((dd**self.q).sum())
-        dist = total ** (1.0 / self.q)
+        dist, s = _qnorm(dd, self.q)
         grad = np.zeros_like(pts)
         if dist > 0:
-            # d dist / d pers_i = dd_i^(q-1) / (dist^(q-1) * 2^(1-1/q))
-            dpers = dd ** (self.q - 1.0) / (
-                dist ** (self.q - 1.0) * 2.0 ** (1.0 - 1.0 / self.q)
+            # d dist / d pers_i = (dd_i/s)^(q-1) / ((dist/s)^(q-1) * 2^(1-1/q))
+            dpers = (dd / s) ** (self.q - 1.0) / (
+                (dist / s) ** (self.q - 1.0) * 2.0 ** (1.0 - 1.0 / self.q)
             )
             grad[:, 0] = -self.sign * dpers
             grad[:, 1] = self.sign * dpers

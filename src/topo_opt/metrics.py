@@ -5,15 +5,16 @@ matrix, each diagram gaining a diagonal copy of every point of the other.
 The degree-q distance solves its q-th power as an assignment problem; the
 bottleneck distance binary-searches its entries with a perfect-matching
 check.
+
+scipy is imported inside the two solvers, not here: it holds about 50 MB
+of resident memory and most of the package's import time, and only a
+process that matches two diagrams needs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .complexes import read_table, write_table
 
@@ -44,10 +45,19 @@ def diagonal_distance(points: np.ndarray, inner: float) -> np.ndarray:
 
 
 def _ground(a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
+    """Pairwise inner q'-norm distances.  When the q'-th powers leave the
+    float range, each pair's coordinate gaps are divided by their larger one
+    first, so that a large q' does not underflow a distance to 0."""
     diff = np.abs(a[:, None, :] - b[None, :, :])
     if np.isinf(inner):
         return diff.max(axis=-1)
-    return (diff**inner).sum(axis=-1) ** (1.0 / inner)
+    with np.errstate(over="ignore", under="ignore"):
+        P = diff**inner
+        if _in_float_range(diff, P):
+            return P.sum(axis=-1) ** (1.0 / inner)
+        s = diff.max(axis=-1, keepdims=True)
+        s[s == 0] = 1.0
+        return ((diff / s) ** inner).sum(axis=-1) ** (1.0 / inner) * s[..., 0]
 
 
 def _finite_points(alpha, beta) -> tuple[np.ndarray, np.ndarray]:
@@ -75,6 +85,49 @@ def _augmented(a: np.ndarray, b: np.ndarray, inner: float) -> np.ndarray:
     C[:m1, m2:] = diagonal_distance(a, inner)[:, None]
     C[m1:, :m2] = diagonal_distance(b, inner)[None, :]
     return C
+
+
+def _in_float_range(x: np.ndarray, P: np.ndarray) -> bool:
+    """Whether the powers P of the non-negative values x stayed in the float
+    range: none overflowed, and none of a positive value fell below the
+    smallest normal float."""
+    return bool(np.isfinite(P).all() and (P >= np.finfo(float).tiny)[x > 0].all())
+
+
+def _qnorm(terms, q: float) -> tuple[float, float]:
+    """The q-norm, 1 <= q < inf, of the non-negative values in ``terms``, and
+    the scale s they were divided by first.
+
+    ``terms`` is a float, an array or a tuple of these; a tuple's q-th power
+    sums are added one term after the other, so a nested tuple is one term.
+    fg_distance's rule sets s: 1 while every unscaled q-th power stays in the
+    float range, else the largest value, so that the scaled sum is at least 1
+    and a term that underflows is below 2^-1074 of it.
+    """
+
+    def values(t):
+        if isinstance(t, tuple):
+            return np.concatenate([np.empty(0)] + [values(u) for u in t])
+        return np.ravel(np.asarray(t, dtype=float))
+
+    def power_sum(t):
+        if isinstance(t, tuple):
+            # a plain loop: sum() compensates float sums on Python >= 3.12
+            total = 0.0
+            for u in t:
+                total += power_sum(u)
+            return total
+        if np.ndim(t) == 0:
+            # a scalar power, not numpy's vectorised one, which can differ
+            # in the last bit
+            return float(np.float64(t / s) ** q)
+        return float(((t / s) ** q).sum())
+
+    x, s = values(terms), 1.0
+    with np.errstate(over="ignore", under="ignore"):
+        if not _in_float_range(x, x ** q):
+            s = float(x.max())
+        return power_sum(terms) ** (1.0 / q) * s, s
 
 
 def _matching(cols: np.ndarray, m1: int, m2: int, cost: float) -> PartialMatching:
@@ -111,10 +164,12 @@ def fg_distance(
     a, b = _finite_points(alpha, beta)
     if np.isinf(q):
         return _bottleneck(a, b, inner)
+    from scipy.optimize import linear_sum_assignment
+
     C, s = _augmented(a, b, inner), 1.0
     with np.errstate(over="ignore", under="ignore"):
         P = C ** q
-        if not (np.isfinite(P).all() and (P >= np.finfo(float).tiny)[C > 0].all()):
+        if not _in_float_range(C, P):
             s = _bottleneck(a, b, inner)[0] or 1.0
             P = (C / s) ** q
     rows, cols = linear_sum_assignment(P)
@@ -134,6 +189,9 @@ def _bottleneck(a: np.ndarray, b: np.ndarray, inner: float) -> tuple[float, Part
     when the edges costing at most c (up to a relative 1e-9) admit a perfect
     matching, each point reaching only its own diagonal copy.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     m1, m2 = len(a), len(b)
     C = _augmented(a, b, inner)
     candidates = np.unique(np.append(C, 0.0))

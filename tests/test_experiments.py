@@ -139,6 +139,20 @@ def test_cli_distance_infinite_order_takes_maxima(tmp_path):
     assert res.output.splitlines() == ["dim 0: 0.25", "dim 1: 0.5", "total: 0.5"]
 
 
+@pytest.mark.parametrize("q, lines", [
+    ("2", ["dim 0: 0", "dim 1: 1.1180339887498949", "total: 1.1180339887498949"]),
+    # the 3000-th powers of the costs, all below 1, underflow unless scaled
+    ("3000", ["dim 0: 0", "dim 1: 0.75017330681555738", "total: 0.75017330681555738"]),
+])
+def test_cli_distance_at_finite_orders(tmp_path, q, lines):
+    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
+    write_diagram(pa, PersistenceDiagram({1: np.array([[0.0, 1.0]])}, {0: np.array([0.0])}))
+    write_diagram(pb, PersistenceDiagram({1: np.array([[0.5, 2.0]])}, {0: np.array([0.0])}))
+    res = CliRunner().invoke(main, ["distance", "--a", str(pa), "--b", str(pb), "--q", q])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines() == lines
+
+
 @pytest.mark.parametrize("q", ["0", "-1", "0.5", "nan"])
 def test_cli_distance_rejects_orders_outside_one_to_inf(tmp_path, q):
     pa = tmp_path / "a.csv"

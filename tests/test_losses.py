@@ -157,6 +157,24 @@ def test_empty_diagram_distance_of_infinite_order(rng, sign):
     np.testing.assert_array_equal(grads[1], [[-sign / 2, sign / 2], [0.0, 0.0]])
 
 
+def test_empty_diagram_distance_at_large_finite_orders():
+    # at q = 3000 the unscaled q-th powers underflow to a zero loss and zero
+    # partials; divided by the largest diagonal distance they do not
+    pts = np.array([[0.0, 0.5], [0.1, 0.4]])
+    for q in (50.0, 500.0, 3000.0):
+        loss = EmptyDiagramDistanceLoss(dim=1, q=q, sign=-1.0)
+        value, grads = loss.evaluate(FakeDiagram({1: pts}))
+        assert value == pytest.approx(-fg_distance(pts, np.empty((0, 2)), q=q)[0], rel=1e-12)
+        if q == 50.0:
+            def fd_value(x):
+                return (loss.evaluate(FakeDiagram({1: x}))[0],)
+
+            np.testing.assert_allclose(grads[1], fd_loss_grad(fd_value, pts), atol=1e-6)
+    assert value == pytest.approx(-0.2500577689385191, rel=1e-12)
+    np.testing.assert_allclose(grads[1][0], [0.5, -0.5], rtol=1e-3)
+    np.testing.assert_array_equal(grads[1][1], [0.0, -0.0])
+
+
 def test_compose_gradient_chain_rule(rng):
     """d/d theta of loss(diagram(theta)) via witnesses matches central FD."""
     X = rng.normal(size=(6, 2))

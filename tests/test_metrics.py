@@ -1,4 +1,9 @@
 """Diagram distances against exhaustive enumeration, axioms, stability."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,3 +223,57 @@ def test_matching_io_roundtrip(tmp_path, rng):
     write_matching(path, matching)
     m2 = read_matching(path)
     assert m2.pairs == matching.pairs
+
+
+SCIPY_ON_FIRST_MATCH = """
+import sys
+
+import numpy as np
+
+from topo_opt import (DescentConfig, VietorisRips, bottleneck_distance, descend,
+                      diffeo_interpolate, distributed_gradient, fg_distance)
+from topo_opt.experiments import circle_loss, gen_circle
+
+
+def scipy_matchers():
+    return sorted(m for m in sys.modules
+                  if m == "scipy.optimize" or m.startswith("scipy.sparse"))
+
+
+assert scipy_matchers() == [], scipy_matchers()
+loss, reg = circle_loss()
+X = gen_circle(12, seed=0)
+descend(VietorisRips(len(X), max_dim=2), X, loss,
+        DescentConfig(method="vanilla", steps=2, lr=0.1), regularizer=reg)
+X = gen_circle(40, outlier=False, seed=0)
+g = distributed_gradient(VietorisRips(len(X), max_dim=2), X, loss, n_sub=1, s=8,
+                         rng=np.random.default_rng(0))
+diffeo_interpolate(X, g, sigma=0.5)
+assert scipy_matchers() == [], scipy_matchers()
+assert abs(fg_distance([[0.0, 2.0]], np.empty((0, 2)))[0] - np.sqrt(2)) < 1e-12
+assert bottleneck_distance([[0.0, 2.0]], [[0.0, 2.5]])[0] == 0.5
+assert "scipy.optimize" in sys.modules
+print("ok")
+"""
+
+
+def test_scipy_is_imported_by_the_first_match_only():
+    """Importing the package and vanilla, distributed and diffeo steps load
+    no scipy solver; the first match does, and both distances still work."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_MATCH], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "ok"
+
+
+def test_ground_distance_does_not_underflow_at_a_large_inner_order():
+    # both coordinate gaps (0.1, 0.3) are below 1, so their 3000-th powers
+    # underflow; matched, the points cost 0.3 * (1 + 3^-3000)^(1/3000) = 0.3,
+    # less than b's diagonal distance 0.6 / 2^(1 - 1/3000) > 0.30006
+    a, b = np.array([[0.1, 0.5]]), np.array([[0.2, 0.8]])
+    for q in (np.inf, 3000.0):
+        dist, matching = fg_distance(a, b, q=q, inner=3000.0)
+        assert dist == pytest.approx(0.3, rel=1e-12)
+        assert matching.pairs == [(0, 0)]
