@@ -88,7 +88,8 @@ def _witness_pair(simplex: Simplex, M: np.ndarray) -> tuple[int, int]:
 
 class _CompleteFamily:
     """A family on the complete complex over n_points vertices, truncated at
-    max_dim, with values built from pairwise distances."""
+    max_dim, with values built from pairwise distances.  Its parameter is a
+    cloud of exactly n_points points; any other count raises ValueError."""
 
     def __init__(self, n_points: int, max_dim: int):
         self.n_points = n_points
@@ -116,6 +117,14 @@ class _CompleteFamily:
             sub.weights = ConstantWeights(w.w[list(indices)])
         return sub
 
+    def _points(self, X) -> np.ndarray:
+        """X as floats, checked to hold one point per vertex."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 0 or len(X) != self.n_points:
+            raise ValueError(f"{type(self).__name__} on {self.n_points} vertices needs"
+                             f" {self.n_points} points, got an array of shape {X.shape}")
+        return X
+
     @staticmethod
     def _dists(X: np.ndarray) -> np.ndarray:
         diff = X[:, None, :] - X[None, :, :]
@@ -129,7 +138,7 @@ class VietorisRips(_CompleteFamily):
     """
 
     def filtration(self, X: np.ndarray) -> Filtration:
-        X = np.asarray(X, dtype=float)
+        X = self._points(X)
         cx = self.complex
         edges = cx.blocks()[1][1] if cx.dim >= 1 else np.empty((0, 2), dtype=int)
         diff = X[edges[:, 0]] - X[edges[:, 1]]
@@ -240,7 +249,7 @@ class WeightedRips(_CompleteFamily):
         return np.maximum(np.maximum(2 * fi, 2 * fj), D + fi + fj), D
 
     def filtration(self, X: np.ndarray) -> Filtration:
-        X = np.asarray(X, dtype=float)
+        X = self._points(X)
         f = self.weights.values(X)
         M, _ = self._edge_matrix(X, f)
         cx = self.complex
@@ -285,7 +294,8 @@ class LowerStar:
 
     Parameter is the vector of vertex values (indexed by sorted vertex id);
     the simplex value is the max over its vertices, witnessed by the
-    smallest vertex id among the maximizers.
+    smallest vertex id among the maximizers.  A vector of another length
+    raises ValueError.
     """
 
     def __init__(self, complex: SimplicialComplex):
@@ -295,6 +305,10 @@ class LowerStar:
 
     def filtration(self, f: np.ndarray) -> Filtration:
         f = np.asarray(f, dtype=float)
+        if f.shape != (len(self.vertices),):
+            raise ValueError(f"LowerStar on {len(self.vertices)} vertices needs"
+                             f" {len(self.vertices)} vertex values, got an array of"
+                             f" shape {f.shape}")
         blocks = self.complex.blocks()
         vertex_ids = blocks[0][1][:, 0]
         _, vertex_rank = _dense_rank(f)

@@ -3,8 +3,10 @@
 Every column is a Python-int bitset, bit r set for row r: a column addition
 is one xor and the lowest one is ``bit_length() - 1``, both in C, where a
 set column would need a scan for its maximum after every addition.  One
-left-to-right reducer, ``_reduce_columns``, serves both paths and the bases,
-and both read the complex only through its facet and coboundary arrays:
+left-to-right reducer, ``_reduce_columns``, serves both paths and the bases.
+It is fed column by column, each raw column built when it is reached, so
+no raw matrix is held whole.  Both paths read the complex only through its
+facet and coboundary arrays:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
   ones), in positions of the total order.  A ``ReducedDecomposition`` is
@@ -59,16 +61,13 @@ class PersistencePairing:
 
     @cached_property
     def pairs(self) -> dict[int, list[tuple[Simplex, Simplex]]]:
-        S = self.complex.simplices
-        return {p: list(zip(map(S.__getitem__, bs.tolist()),
-                            map(S.__getitem__, self.deaths[p].tolist())))
+        cx = self.complex
+        return {p: list(zip(_simplices_at(cx, bs, p), _simplices_at(cx, self.deaths[p], p + 1)))
                 for p, bs in self.births.items()}
 
     @cached_property
     def unpaired(self) -> dict[int, list[Simplex]]:
-        S = self.complex.simplices
-        return {p: list(map(S.__getitem__, us.tolist()))
-                for p, us in self.essential.items()}
+        return {p: list(_simplices_at(self.complex, us, p)) for p, us in self.essential.items()}
 
     def dims(self):
         return sorted(set(self.births) | set(self.essential))
@@ -123,27 +122,36 @@ def _bitset(rows) -> int:
     return col
 
 
-def _reduce_columns(cols, n: int, pivot: dict[int, int], basis=None) -> dict[int, int]:
-    """Left-to-right reduction, in place, of the bitset columns cols[0], ...,
-    cols[n-1] against ``pivot`` (lowest one -> column), which may hold
-    columns from n on: the boundary matrix for ``reduce``, a cohomology
+def _simplices_at(cx: SimplicialComplex, positions: np.ndarray, p: int):
+    """The p-simplices at the given complex positions, as tuples: one block
+    slice per call, not one lookup per simplex, so the complex's tuple list
+    need not exist."""
+    start, ids = cx.blocks()[p]
+    return map(tuple, ids[positions - start].tolist())
+
+
+def _reduce_columns(cols, reduced, pivot: dict[int, int], basis=None) -> dict[int, int]:
+    """Left-to-right reduction of the bitset columns that ``cols`` yields,
+    each built when the loop reaches it: column j, reduced against ``pivot``
+    (lowest one -> column), is written to reduced[j], and pivot column k is
+    read as reduced[k], which the store may build on first read for a
+    seeded pivot.  Serves the boundary matrix for ``reduce``, a cohomology
     dimension of ``persistence_pairs``, and either form of a
     ``_PairedMatrix`` when its basis (V columns, U rows) is read and passed
     to be updated.  Returns the pivots."""
     V, U = basis or (None, None)
-    for j in range(n):
-        col = cols[j]
+    for j, col in enumerate(cols):
         while col:
             low = col.bit_length() - 1
             k = pivot.get(low)
             if k is None:
                 pivot[low] = j
                 break
-            col ^= cols[k]
+            col ^= reduced[k]
             if V is not None:
                 V[j] ^= V[k]
                 U[k] ^= U[j]
-        cols[j] = col
+        reduced[j] = col
     return pivot
 
 
@@ -201,17 +209,12 @@ class _PairedMatrix:
             done[bound] = col
             col, bound, extra = waiting.pop()
 
-    def reduced(self, c: int) -> int:
-        """Column c of a full left-to-right reduction, reduced on first read."""
-        if self.columns[c] is None:
-            self.columns[c] = self.reduce_prefix(self.raw(c), c, {})
-        return self.columns[c]
-
     @cached_property
     def basis(self) -> tuple[list[int], list[int]]:
-        """(V columns, U rows) of one reduction with a basis, U = V^-1."""
+        """(V columns, U rows) of one reduction with a basis, U = V^-1; it
+        fills ``columns`` (D's R is rewritten with the same values)."""
         V, U = [1 << j for j in range(self.n)], [1 << j for j in range(self.n)]
-        _reduce_columns(list(map(self.raw, range(self.n))), self.n, {}, (V, U))
+        _reduce_columns(map(self.raw, range(self.n)), self.columns, {}, (V, U))
         return V, U
 
 
@@ -232,8 +235,8 @@ class ReducedDecomposition:
         for p in range(1, cx.dim + 1):
             by_index += self.rank[cx.facets(p)].tolist()
         self.faces: list[list[int]] = list(map(by_index.__getitem__, self.order.tolist()))
-        self.R = list(map(_bitset, self.faces))
-        self.pivot = _reduce_columns(self.R, len(self.R), {})
+        self.R: list[int] = [0] * len(self.faces)
+        self.pivot = _reduce_columns(map(_bitset, self.faces), self.R, {})
 
     @cached_property
     def simplices(self) -> list[Simplex]:
@@ -430,7 +433,8 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
         apparent[has] = latest == start + rows[has]
         rest = rows[~apparent]
         keys = np.concatenate([rest, rows[apparent]])
-        pivot = _reduce_columns(_Coboundaries(indptr, entries, keys), len(rest),
+        cols = _Coboundaries(indptr, entries, keys)
+        pivot = _reduce_columns(map(cols.__getitem__, range(len(rest))), cols,
                                 dict(zip(top[apparent].tolist(), range(len(rest), len(rows)))))
         births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
         deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
@@ -452,15 +456,7 @@ def build_diagram(
     """
     if pairing is None:
         pairing = persistence_pairs(filtration)
-    values = filtration.values
-    blocks = pairing.complex.blocks()
-
-    def simplices_at(positions, p):
-        # one block slice per dimension, not one lookup per simplex: the
-        # complex's tuple list need not exist
-        start, ids = blocks[p]
-        return map(tuple, ids[positions - start].tolist())
-
+    values, cx = filtration.values, pairing.complex
     points: dict[int, np.ndarray] = {}
     pairs: dict[int, list] = {}
     for dim, bs in pairing.births.items():
@@ -470,7 +466,7 @@ def build_diagram(
             keep = np.flatnonzero(dv - bv > drop_zero_tol)
             bs, ds, bv, dv = bs[keep], ds[keep], bv[keep], dv[keep]
         points[dim] = np.column_stack([bv, dv])
-        pairs[dim] = list(zip(simplices_at(bs, dim), simplices_at(ds, dim + 1)))
+        pairs[dim] = list(zip(_simplices_at(cx, bs, dim), _simplices_at(cx, ds, dim + 1)))
     essential = {dim: values[us] for dim, us in pairing.essential.items()}
     return PersistenceDiagram(points, essential, pairs, pairing)
 

@@ -459,8 +459,8 @@ def diffeo_interpolate(X: np.ndarray, grad: np.ndarray, sigma: float,
     Coefficients solve (K + ridge*I) alpha = grad on the support of the
     gradient, K_ij = exp(-||x_i-x_j||^2 / (2 sigma^2)).  A singular system at
     ridge=0 falls back to ridge=1e-10 with a warning.  X and grad must be
-    point clouds of one shape (n, d), and sigma finite and positive;
-    anything else raises ValueError.
+    finite point clouds of one shape (n, d), and sigma finite and positive;
+    anything else raises ValueError naming the argument.
     """
     X = np.asarray(X, dtype=float)
     grad = np.asarray(grad, dtype=float)
@@ -470,6 +470,11 @@ def diffeo_interpolate(X: np.ndarray, grad: np.ndarray, sigma: float,
             f" got points of shape {X.shape} and a gradient of shape {grad.shape}")
     if not 0 < sigma < np.inf:
         raise ValueError(f"diffeo_interpolate needs a finite positive sigma, got {sigma!r}")
+    for name, arr in (("X", X), ("grad", grad)):
+        bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+        if len(bad):
+            raise ValueError(f"diffeo_interpolate needs a finite {name};"
+                             f" row {bad[0]} is {arr[bad[0]].tolist()}")
     support = np.where(np.linalg.norm(grad, axis=1) > 0)[0]
     if len(support) == 0:
         return GaussianField(X[:0], grad[:0], sigma)

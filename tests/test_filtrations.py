@@ -241,6 +241,26 @@ def test_dtm_rejects_large_k():
         WeightedRips(3, 1, DTMWeights(3)).filtration(X)
 
 
+@pytest.mark.parametrize("n", [3, 6])
+def test_vietoris_rips_rejects_a_cloud_of_another_size(rng, n):
+    with pytest.raises(ValueError, match=rf"needs 4 points, got an array of shape \({n}, 2\)"):
+        VietorisRips(4, 2).filtration(rng.normal(size=(n, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_weighted_rips_rejects_a_cloud_of_another_size(rng, n):
+    family = WeightedRips(4, 2, ConstantWeights(np.zeros(n)))
+    with pytest.raises(ValueError, match=rf"needs 4 points, got an array of shape \({n}, 2\)"):
+        family.filtration(rng.normal(size=(n, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_lower_star_rejects_values_of_another_size(n):
+    family = LowerStar(build_complex([[0, 1, 2], [1, 2, 3]]))
+    with pytest.raises(ValueError, match=rf"needs 4 vertex values, got an array of shape \({n},\)"):
+        family.filtration(np.arange(n, dtype=float))
+
+
 def test_dtm_weighted_rips_gradient_matches_fd(rng):
     for _ in range(5):
         X = rng.normal(size=(5, 2)) * 2.0

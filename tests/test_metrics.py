@@ -227,12 +227,13 @@ def test_matching_io_roundtrip(tmp_path, rng):
 
 SCIPY_ON_FIRST_MATCH = """
 import sys
+import tempfile
 
 import numpy as np
 
 from topo_opt import (DescentConfig, VietorisRips, bottleneck_distance, descend,
                       diffeo_interpolate, distributed_gradient, fg_distance)
-from topo_opt.experiments import circle_loss, gen_circle
+from topo_opt.experiments import ExperimentSpec, circle_loss, gen_circle, run_experiment
 
 
 def scipy_matchers():
@@ -249,6 +250,9 @@ X = gen_circle(40, outlier=False, seed=0)
 g = distributed_gradient(VietorisRips(len(X), max_dim=2), X, loss, n_sub=1, s=8,
                          rng=np.random.default_rng(0))
 diffeo_interpolate(X, g, sigma=0.5)
+with tempfile.TemporaryDirectory() as out:
+    run_experiment(ExperimentSpec(n_points=8, methods=("vanilla",), etas=(0.1,),
+                                  gammas=(1.0,), steps=1, snapshot_steps=(0,)), out)
 assert scipy_matchers() == [], scipy_matchers()
 assert abs(fg_distance([[0.0, 2.0]], np.empty((0, 2)))[0] - np.sqrt(2)) < 1e-12
 assert bottleneck_distance([[0.0, 2.0]], [[0.0, 2.5]])[0] == 0.5
@@ -257,15 +261,50 @@ print("ok")
 """
 
 
-def test_scipy_is_imported_by_the_first_match_only():
-    """Importing the package and vanilla, distributed and diffeo steps load
-    no scipy solver; the first match does, and both distances still work."""
+SCIPY_BEFORE_THE_FIRST_CELL = """
+import sys
+import tempfile
+
+from topo_opt import experiments
+
+loaded = []
+
+
+def descend(*args, **kwargs):
+    loaded.append("scipy.optimize" in sys.modules)
+    return plain_descend(*args, **kwargs)
+
+
+plain_descend, experiments.descend = experiments.descend, descend
+with tempfile.TemporaryDirectory() as out:
+    experiments.run_experiment(experiments.ExperimentSpec(
+        n_points=8, methods=("continuation",), etas=(0.1,), gammas=(1.0,), steps=1,
+        snapshot_steps=(0,)), out)
+assert loaded == [True], loaded
+print("ok")
+"""
+
+
+def run_fresh(script: str) -> str:
+    """The standard output of ``script`` run in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    res = subprocess.run([sys.executable, "-c", SCIPY_ON_FIRST_MATCH], capture_output=True,
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "ok"
+    return res.stdout.strip()
+
+
+def test_scipy_is_imported_by_the_first_match_only():
+    """Importing the package, vanilla, distributed and diffeo steps and a
+    vanilla-only grid load no scipy solver; the first match does, and both
+    distances still work."""
+    assert run_fresh(SCIPY_ON_FIRST_MATCH) == "ok"
+
+
+def test_a_continuation_grid_loads_the_solver_before_its_first_timed_cell():
+    """The first match's scipy import is not charged to a cell's time."""
+    assert run_fresh(SCIPY_BEFORE_THE_FIRST_CELL) == "ok"
 
 
 def test_ground_distance_does_not_underflow_at_a_large_inner_order():

@@ -1,5 +1,7 @@
 """Reduction invariants, the pairing oracle, the paired matrices behind the
 moving sets, diagram IO."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,9 +375,10 @@ def test_anti_D_basis_inverts_antitransposed_boundary(rng):
 
 def assert_reduced_columns_match_a_full_reduction(dec):
     """For both paired matrices, the raw columns are those of D and of its
-    anti-transpose built from the simplex tuples, and reduced(c), asked for
-    in an order that makes the on-demand reducer reach back, equals column c
-    of a full left-to-right reduction of the raw columns."""
+    anti-transpose built from the simplex tuples, and column c reduced
+    against the columns before it, asked for in an order that makes the
+    on-demand reducer reach back, equals column c of a full left-to-right
+    reduction of the raw columns."""
     n = len(dec.simplices)
     faces = [{dec.position(f) for f in boundary(s)} for s in dec.simplices]
     cofaces = [set() for _ in range(n)]
@@ -387,11 +390,27 @@ def assert_reduced_columns_match_a_full_reduction(dec):
         for q in range(n):
             want = {mat.index(r) for r in (cofaces if mat.flip else faces)[q]}
             assert set(rows_of(mat.raw(mat.index(q)))) == want, (mat.flip, q)
-        full = [mat.raw(c) for c in range(n)]
-        pivot = _reduce_columns(full, n, {})
+        full = [0] * n
+        pivot = _reduce_columns(map(mat.raw, range(n)), full, {})
         assert pivot == mat.pivot
         for c in reversed(range(n)):
-            assert mat.reduced(c) == full[c], (mat.flip, c)
+            assert mat.reduce_prefix(mat.raw(c), c, {}) == full[c], (mat.flip, c)
+
+
+def test_reduce_holds_no_whole_raw_matrix():
+    """At 61 points (37,881 simplices) the raw triangle columns, up to
+    37,881 bits each, would take about 97 MiB if all were built before the
+    reduction; fed column by column, the reduction peaks near its own
+    result, about 10 MiB."""
+    X = gen_circle(60, outlier=True, seed=0)
+    filt = VietorisRips(len(X), 2).filtration(X)
+    tracemalloc.start()
+    try:
+        reduce(filt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20, f"reduce peaked at {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=60, deadline=None)

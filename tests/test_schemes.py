@@ -579,6 +579,23 @@ def test_diffeo_rejects_a_bandwidth_that_is_not_finite_and_positive(rng, sigma):
         diffeo_interpolate(X, np.ones_like(X), sigma=sigma)
 
 
+def test_diffeo_rejects_a_gradient_row_that_is_not_finite(rng):
+    # nan > 0 is False, so a norm test alone would drop the row from the support
+    X = rng.normal(size=(5, 2))
+    grad = np.zeros_like(X)
+    grad[0] = (1.0, 0.0)
+    grad[3] = (np.nan, 0.0)
+    with pytest.raises(ValueError, match="finite grad; row 3"):
+        diffeo_interpolate(X, grad, sigma=0.5)
+
+
+def test_diffeo_rejects_a_point_that_is_not_finite(rng):
+    X = rng.normal(size=(5, 2))
+    X[2, 1] = np.nan
+    with pytest.raises(ValueError, match="finite X; row 2"):
+        diffeo_interpolate(X, np.ones_like(X), sigma=0.5)
+
+
 def test_diffeo_empty_gradient(rng):
     X = rng.normal(size=(4, 2))
     field = diffeo_interpolate(X, np.zeros_like(X), sigma=0.5)
