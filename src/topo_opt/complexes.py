@@ -184,17 +184,28 @@ class SimplicialComplex:
         return self._facets[q]
 
     def vertex_pairs(self, q: int) -> np.ndarray:
-        """The vertex pairs of the q-simplices, for 1 <= q <= dim, as flat
-        indices a * n_vertices + b into an n_vertices x n_vertices matrix,
-        a < b being vertex positions: row k of the (C(q+1, 2), m) array
-        holds the k-th pair, in lexicographic order, of every q-simplex."""
+        """The vertex pairs of the q-simplices, for 1 <= q <= dim, as edges:
+        row k of the (C(q+1, 2), m) array holds the k-th pair, in
+        lexicographic order, of every q-simplex, as an offset into the edge
+        block (position n_vertices + offset)."""
         if q not in self._pairs:
             vertex_ids = self._blocks[0][1][:, 0]
             nv, ids = len(vertex_ids), self._blocks[q][1].T
             if vertex_ids[-1] != nv - 1:  # ids are not their own positions
                 ids = np.searchsorted(vertex_ids, ids)
-            self._pairs[q] = np.array([ids[a] * nv + ids[b]
-                                       for a, b in itertools.combinations(range(q + 1), 2)])
+            pairs = list(itertools.combinations(range(q + 1), 2))
+            if len(self._blocks[1][1]) == nv * (nv - 1) // 2:
+                # every vertex pair is an edge; before {a, b} come the
+                # nv - 1 - c edges {c, .} of each c < a and the b - a - 1
+                # edges {a, c} with c < b (the search below costs 3x more)
+                a = np.arange(nv)
+                first = a * (2 * nv - a - 3) // 2 - 1
+                self._pairs[q] = np.array([first[ids[j]] + ids[k] for j, k in pairs])
+            else:
+                # the code a * nv + b of an edge increases with its offset
+                codes = np.searchsorted(vertex_ids, self._blocks[1][1]) @ [nv, 1]
+                self._pairs[q] = np.array([np.searchsorted(codes, ids[j] * nv + ids[k])
+                                           for j, k in pairs])
         return self._pairs[q]
 
     def cofaces(self, s: Simplex) -> list[Simplex]:
@@ -400,9 +411,11 @@ def write_complex(path, complex: SimplicialComplex, filtration: Filtration | Non
 def read_complex(path) -> tuple[SimplicialComplex, np.ndarray | None]:
     """Read a complex file; returns (complex, values or None).
 
-    Values, when present, are re-aligned to the complex's canonical simplex
-    order.  Missing faces are an error only if values are present (closure
-    cannot invent them); without values the closure is taken.
+    The last field of a line is the value exactly when it does not parse as
+    an int (``write_complex`` writes 1.0, nan, inf).  Values, when present,
+    are re-aligned to the complex's canonical simplex order.  Missing faces
+    are an error only if values are present (closure cannot invent them);
+    without values the closure is taken.
     """
     rows: list[tuple[Simplex, float | None]] = []
     with open(path) as fh:
@@ -411,9 +424,10 @@ def read_complex(path) -> tuple[SimplicialComplex, np.ndarray | None]:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if "." in parts[-1] or "e" in parts[-1] or "inf" in parts[-1]:
-                s = as_simplex(int(p) for p in parts[:-1])
-                rows.append((s, float(parts[-1])))
+            try:
+                int(parts[-1])
+            except ValueError:
+                rows.append((as_simplex(int(p) for p in parts[:-1]), float(parts[-1])))
             else:
                 rows.append((as_simplex(int(p) for p in parts), None))
     has_vals = any(v is not None for _, v in rows)
@@ -422,12 +436,11 @@ def read_complex(path) -> tuple[SimplicialComplex, np.ndarray | None]:
     cx = SimplicialComplex([s for s, _ in rows])
     if not has_vals:
         return cx, None
+    if len({s for s, _ in rows}) != len(cx):
+        raise ValueError("file is not closed under faces but carries values")
     vals = np.empty(len(cx))
-    vals.fill(np.nan)
     for s, v in rows:
         vals[cx.index[s]] = v
-    if np.isnan(vals).any():
-        raise ValueError("file is not closed under faces but carries values")
     return cx, vals
 
 

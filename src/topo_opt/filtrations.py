@@ -6,7 +6,9 @@ of a single simplex's value with respect to the parameter.  Gradients are
 returned sparse, as {row_or_index: contribution}, with ties resolved by a
 deterministic witness so the map is piecewise differentiable.  Every
 family but the raw values also ranks its values in integers, so that the
-total order sorts small integer keys (Bauer, Ripser, 2021).
+total order sorts small integer keys (Bauer, Ripser, 2021).  The two Rips
+families share one clique fold, which takes the max over each simplex's
+vertex pairs from the edge values alone, and one witness rule.
 """
 from __future__ import annotations
 
@@ -30,25 +32,6 @@ from .complexes import (
 )
 
 
-def _max_over_pairs(cx: SimplicialComplex, M: np.ndarray, vertex_values: np.ndarray) -> np.ndarray:
-    """Per-simplex max of M over vertex pairs (vertices get vertex_values)."""
-    vals, nv = np.empty(len(cx)), cx.n_vertices()
-    flat = M[:nv, :nv].ravel()
-    for p, (start, A) in enumerate(cx.blocks()):
-        if p == 0:
-            vals[start:start + len(A)] = vertex_values[A[:, 0]]
-        else:
-            _fold_max(vals[start:start + len(A)], flat, cx.vertex_pairs(p))
-    return vals
-
-
-def _fold_max(out: np.ndarray, flat: np.ndarray, pairs: np.ndarray) -> None:
-    """out = np.maximum folded over flat at each row of ``pairs`` in turn."""
-    np.take(flat, pairs[0], out=out)
-    for idx in pairs[1:]:
-        np.maximum(out, flat.take(idx), out=out)
-
-
 def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct, rank): the sorted distinct values and the rank of each
     value among them, so distinct[rank] == values.  -0.0 and 0.0 share a
@@ -58,32 +41,21 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, rank.astype(np.uint16 if len(distinct) <= 1 << 16 else np.uint32)
 
 
-def _clique_rank(cx: SimplicialComplex, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct, rank) of a clique filtration on cx: ``low`` holds the
-    values of the vertices and edges, in position order, and a higher
-    simplex takes the max over its vertex pairs.  Only the vertex and edge
-    values are ranked (Bauer, Ripser, 2021); the higher blocks take their
-    max in those integers."""
-    distinct, low_rank = _dense_rank(low)
-    rank = np.empty(len(cx), dtype=low_rank.dtype)
-    rank[:len(low)] = low_rank
-    blocks = cx.blocks()
-    if len(blocks) > 2:
-        nv = cx.n_vertices()
-        pair = np.zeros(nv * nv, dtype=rank.dtype)
-        pair[cx.vertex_pairs(1)[0]] = low_rank[nv:]
-        for q, (start, ids) in enumerate(blocks[2:], start=2):
-            _fold_max(rank[start:start + len(ids)], pair, cx.vertex_pairs(q))
-    return distinct, rank
-
-
-def _witness_pair(simplex: Simplex, M: np.ndarray) -> tuple[int, int]:
-    """Lexicographically smallest vertex pair maximizing M over the simplex."""
-    best, wit = -np.inf, None
-    for i, j in itertools.combinations(simplex, 2):
-        if M[i, j] > best:
-            best, wit = M[i, j], (i, j)
-    return wit
+def _clique(cx: SimplicialComplex, low: np.ndarray) -> np.ndarray:
+    """A clique filtration on cx, of low's dtype: ``low`` holds the values
+    of the vertices and edges, in position order, and each higher simplex
+    takes np.maximum folded over its vertex pairs in lexicographic order.
+    Both Rips families fold their integer ranks with it (Bauer, Ripser,
+    2021), and weighted Rips its float values as well."""
+    out = np.empty(len(cx), dtype=low.dtype)
+    out[:len(low)] = low
+    edges = low[cx.n_vertices():]
+    for q, (start, ids) in enumerate(cx.blocks()[2:], start=2):
+        block, pairs = out[start:start + len(ids)], cx.vertex_pairs(q)
+        np.take(edges, pairs[0], out=block)
+        for idx in pairs[1:]:
+            np.maximum(block, edges.take(idx), out=block)
+    return out
 
 
 class _CompleteFamily:
@@ -125,10 +97,24 @@ class _CompleteFamily:
                              f" {self.n_points} points, got an array of shape {X.shape}")
         return X
 
-    @staticmethod
-    def _dists(X: np.ndarray) -> np.ndarray:
-        diff = X[:, None, :] - X[None, :, :]
-        return np.sqrt((diff * diff).sum(axis=-1))
+    def _edges(self) -> np.ndarray:
+        """The complex's edges as two rows (a, b) of vertex ids, a < b."""
+        cx = self.complex
+        return cx.blocks()[1][1].T if cx.dim >= 1 else np.empty((2, 0), dtype=int)
+
+    def _witness_pair(self, simplex: Simplex, values) -> int:
+        """The witness of the simplex: the position, among its vertex pairs
+        in lexicographic order, of the first largest of their ``values``,
+        where a NaN (or -inf) never wins.  A simplex with no such pair
+        raises ValueError."""
+        best, wit = -np.inf, None
+        for k, v in enumerate(values):
+            if v > best:
+                best, wit = v, k
+        if wit is None:
+            raise ValueError(f"{type(self).__name__}: simplex {simplex} has no witness pair,"
+                             f" its pair values are {list(map(float, values))}")
+        return wit
 
 
 class VietorisRips(_CompleteFamily):
@@ -140,12 +126,11 @@ class VietorisRips(_CompleteFamily):
     def filtration(self, X: np.ndarray) -> Filtration:
         X = self._points(X)
         cx = self.complex
-        edges = cx.blocks()[1][1] if cx.dim >= 1 else np.empty((0, 2), dtype=int)
-        diff = X[edges[:, 0]] - X[edges[:, 1]]
         # the values are >= +0.0, so the distinct value of each rank is the
         # value itself, bit for bit
-        distinct, rank = _clique_rank(cx, np.concatenate(
-            [np.zeros(cx.n_vertices()), np.sqrt((diff * diff).sum(axis=1)) / 2.0]))
+        distinct, low_rank = _dense_rank(np.concatenate(
+            [np.zeros(cx.n_vertices()), _edge_lengths(X, *self._edges()) / 2.0]))
+        rank = _clique(cx, low_rank)
         return Filtration(cx, distinct[rank], check=False, rank=rank)
 
     def simplex_gradient(self, X: np.ndarray, simplex: Simplex) -> dict:
@@ -153,16 +138,13 @@ class VietorisRips(_CompleteFamily):
         if len(simplex) == 1:
             return {}
         X = np.asarray(X, dtype=float)
-        # only distances within the simplex matter; lexicographically first
-        # maximizing pair wins, as in the filtration value itself
-        best, wit = -np.inf, None
-        for i, j in itertools.combinations(simplex, 2):
-            diff = X[i] - X[j]
-            d = float(np.sqrt(diff @ diff))
-            if d > best:
-                best, wit = d, (i, j)
-        i, j = wit
-        g = (X[i] - X[j]) / (2.0 * best)
+        # only distances within the simplex matter
+        pairs = list(itertools.combinations(simplex, 2))
+        diff = [X[i] - X[j] for i, j in pairs]
+        length = [float(np.sqrt(d @ d)) for d in diff]
+        k = self._witness_pair(simplex, length)
+        g = diff[k] / (2.0 * length[k])
+        i, j = pairs[k]
         return {i: g, j: -g}
 
 
@@ -197,6 +179,8 @@ class DTMWeights:
     differentiating."""
 
     def __init__(self, k: int):
+        if k < 1:
+            raise ValueError(f"DTMWeights needs k >= 1 neighbors, got k={k}")
         self.k = k
 
     def _neighbors(self, X, i):
@@ -234,48 +218,67 @@ class WeightedRips(_CompleteFamily):
 
     Vertex {j} enters at 2 f(x_j); an edge {i,j} at
     max(2 f(x_i), 2 f(x_j), ||x_i - x_j|| + f(x_i) + f(x_j)); higher simplices
-    at the max over their edges.  On ties the edge term wins, then the
-    larger-weight vertex term.
+    at the max over their edges.  Each max is np.maximum folded left to
+    right, so on weights of -0.0 the values keep the sign of a zero.  On
+    ties the edge term wins, then the larger-weight vertex term.
     """
 
     def __init__(self, n_points: int, max_dim: int, weights):
         super().__init__(n_points, max_dim)
         self.weights = weights
 
-    def _edge_matrix(self, X, f):
-        D = self._dists(X)
-        fi = f[:, None]
-        fj = f[None, :]
-        return np.maximum(np.maximum(2 * fi, 2 * fj), D + fi + fj), D
+    def _weight_values(self, X: np.ndarray) -> np.ndarray:
+        """The weights of the points of X, checked to be one per point."""
+        f = self.weights.values(X)
+        if np.shape(f) != (self.n_points,):
+            raise ValueError(f"{type(self).__name__} on {self.n_points} points needs"
+                             f" {self.n_points} weights, got weights.values(X) of shape"
+                             f" {np.shape(f)}")
+        return f
 
     def filtration(self, X: np.ndarray) -> Filtration:
         X = self._points(X)
-        f = self.weights.values(X)
-        M, _ = self._edge_matrix(X, f)
+        f = self._weight_values(X)
         cx = self.complex
-        # the values stay floats taken from M: with weights of -0.0 the max
-        # keeps a signed zero that a distinct value could not
-        vals = _max_over_pairs(cx, M, 2 * f)
-        _, rank = _clique_rank(cx, vals[:sum(len(ids) for _, ids in cx.blocks()[:2])])
-        return Filtration(cx, vals, check=False, rank=rank)
+        low = np.concatenate([2 * f, _edge_values(X, f, *self._edges())[0]])
+        # the values are folded as floats, not read back from their ranks:
+        # a distinct value could not keep the sign of a zero
+        return Filtration(cx, _clique(cx, low), check=False,
+                          rank=_clique(cx, _dense_rank(low)[1]))
 
     def simplex_gradient(self, X: np.ndarray, simplex: Simplex) -> dict:
         simplex = tuple(simplex)
-        X = np.asarray(X, dtype=float)
-        f = self.weights.values(X)
+        X = self._points(X)
+        f = self._weight_values(X)
         if len(simplex) == 1:
             return _scale_sparse(self.weights.gradient(X, simplex[0]), 2.0)
-        M, D = self._edge_matrix(X, f)
-        i, j = _witness_pair(simplex, M)
-        if D[i, j] + f[i] + f[j] >= max(2 * f[i], 2 * f[j]):
+        pairs = list(itertools.combinations(simplex, 2))
+        values, length = _edge_values(X, f, *np.array(pairs).T)
+        k = self._witness_pair(simplex, values)
+        i, j = pairs[k]
+        if length[k] + f[i] + f[j] >= max(2 * f[i], 2 * f[j]):
             # edge term active (wins ties)
-            u = (X[i] - X[j]) / D[i, j]
+            u = (X[i] - X[j]) / length[k]
             g = {i: u.copy(), j: -u}
             g = _add_sparse(g, self.weights.gradient(X, i))
             g = _add_sparse(g, self.weights.gradient(X, j))
             return g
-        k = i if f[i] >= f[j] else j
-        return _scale_sparse(self.weights.gradient(X, k), 2.0)
+        v = i if f[i] >= f[j] else j
+        return _scale_sparse(self.weights.gradient(X, v), 2.0)
+
+
+def _edge_lengths(X: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lengths ||x_a[k] - x_b[k]|| of the edges {a[k], b[k]}."""
+    diff = X[a] - X[b]
+    return np.sqrt((diff * diff).sum(axis=1))
+
+
+def _edge_values(X: np.ndarray, f: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(values, lengths) of the weighted Rips edges {a[k], b[k]}, each value
+    max(2 f_a, 2 f_b, ||x_a - x_b|| + f_a + f_b)."""
+    length = _edge_lengths(X, a, b)
+    fa, fb = f[a], f[b]
+    return np.maximum(np.maximum(2 * fa, 2 * fb), length + fa + fb), length
 
 
 def _add_sparse(a: dict, b: dict) -> dict:
@@ -336,8 +339,9 @@ class LowerStar:
 class HeightFiltration:
     """Lower-star of the height function x -> <x, theta> on fixed positions.
 
-    theta is normalized to unit length (with a warning when it is not; a
-    zero or non-finite theta is a ValueError).
+    positions holds one row per vertex, and theta one coordinate per
+    column; theta is normalized to unit length (with a warning when it is
+    not; a zero or non-finite theta is a ValueError).
     The gradient with respect to theta is the witness position projected
     onto the tangent space of the sphere, (I - theta theta^T) x_w.
     """
@@ -346,9 +350,17 @@ class HeightFiltration:
         self.complex = complex
         self.positions = np.asarray(positions, dtype=float)
         self._lower_star = LowerStar(complex)
+        nv = len(self._lower_star.vertices)
+        if self.positions.ndim != 2 or len(self.positions) != nv:
+            raise ValueError(f"HeightFiltration on {nv} vertices needs {nv} positions,"
+                             f" got positions of shape {self.positions.shape}")
 
     def _unit(self, theta):
         theta = np.asarray(theta, dtype=float)
+        d = self.positions.shape[1]
+        if theta.shape != (d,):
+            raise ValueError(f"HeightFiltration on {d}-D positions needs a direction of"
+                             f" {d} coordinates, got theta of shape {theta.shape}")
         nrm = np.linalg.norm(theta)
         if not (np.isfinite(nrm) and nrm > 0):
             raise ValueError(f"height direction {theta.tolist()} is zero or not finite")

@@ -186,6 +186,28 @@ def test_facets_are_the_boundary_in_order(sims):
             assert [cx.simplices[i] for i in row] == boundary(cx.simplices[start + r])
 
 
+def assert_vertex_pairs_are_the_edges_in_order(cx):
+    nv = cx.n_vertices()
+    for q, (start, ids) in enumerate(cx.blocks()[1:], start=1):
+        pairs = cx.vertex_pairs(q)
+        assert pairs.shape == (q * (q + 1) // 2, len(ids))
+        for r, s in enumerate(ids.tolist()):
+            edges = [cx.simplices[nv + k] for k in pairs[:, r].tolist()]
+            assert edges == list(itertools.combinations(s, 2))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8))
+def test_vertex_pairs_are_the_edges_in_order(sims):
+    assert_vertex_pairs_are_the_edges_in_order(build_complex(sims))
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (5, 3), (9, 2)])
+def test_vertex_pairs_of_a_complete_complex_are_the_edges_in_order(n, d):
+    assert_vertex_pairs_are_the_edges_in_order(complete_complex(n, d))
+    assert_vertex_pairs_are_the_edges_in_order(build_complex([[v + 3 for v in range(n)]]))
+
+
 def test_complete_complex_counts():
     cx = complete_complex(5, 2)
     assert len(cx) == 5 + 10 + 10
@@ -254,6 +276,23 @@ def test_complex_io_roundtrip(tmp_path, rng):
     cx2, vals2 = read_complex(path)
     assert cx2.simplices == f.complex.simplices
     np.testing.assert_allclose(vals2, f.values)
+
+
+def test_complex_io_roundtrips_non_finite_values(tmp_path):
+    cx = build_complex([[0, 1, 2], [2, 3]])
+    vals = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, np.nan, -1e300, np.inf])
+    path = tmp_path / "complex.txt"
+    write_complex(path, cx, Filtration(cx, vals, check=False))
+    cx2, vals2 = read_complex(path)
+    assert cx2.simplices == cx.simplices
+    assert vals2.tobytes() == vals.tobytes()
+
+
+def test_read_complex_rejects_values_without_their_faces(tmp_path):
+    path = tmp_path / "complex.txt"
+    path.write_text("0 0.0\n1 nan\n0 1 2 1.0\n")
+    with pytest.raises(ValueError, match="not closed under faces"):
+        read_complex(path)
 
 
 def test_ordering_signature_hash_and_tie_flag():

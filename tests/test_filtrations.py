@@ -254,11 +254,42 @@ def test_weighted_rips_rejects_a_cloud_of_another_size(rng, n):
         family.filtration(rng.normal(size=(n, 2)))
 
 
+@pytest.mark.parametrize("weights", [
+    ConstantWeights(np.zeros(3)), ConstantWeights(np.zeros(6)),
+    FunctionWeights(lambda X: np.zeros(len(X) + 1), lambda X, i: {})])
+def test_weighted_rips_rejects_weights_of_another_size(rng, weights):
+    family, X = WeightedRips(4, 2, weights), rng.normal(size=(4, 2))
+    shape = rf"\({len(weights.values(X))},\)"
+    with pytest.raises(ValueError, match=rf"WeightedRips on 4 points needs 4 weights,"
+                                         rf" got weights.values\(X\) of shape {shape}"):
+        family.filtration(X)
+    with pytest.raises(ValueError, match="needs 4 weights"):
+        family.simplex_gradient(X, (0, 1))
+
+
+@pytest.mark.parametrize("family", [
+    VietorisRips(4, 2), WeightedRips(4, 2, ConstantWeights([0.0, 0.5, 0.0, 1.0]))])
+def test_rips_simplex_without_a_witness_raises(rng, family):
+    X = rng.normal(size=(4, 2))
+    X[0, 1] = np.nan
+    name = type(family).__name__
+    with pytest.raises(ValueError, match=rf"{name}: simplex \(0, 1\) has no witness pair"):
+        family.simplex_gradient(X, (0, 1))
+    # a NaN never wins, so a simplex with one pair not through point 0 has a witness
+    assert set(family.simplex_gradient(X, (0, 1, 2))) >= {1, 2}
+
+
 @pytest.mark.parametrize("n", [3, 6])
 def test_lower_star_rejects_values_of_another_size(n):
     family = LowerStar(build_complex([[0, 1, 2], [1, 2, 3]]))
     with pytest.raises(ValueError, match=rf"needs 4 vertex values, got an array of shape \({n},\)"):
         family.filtration(np.arange(n, dtype=float))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_dtm_rejects_fewer_than_one_neighbor(k):
+    with pytest.raises(ValueError, match=rf"DTMWeights needs k >= 1 neighbors, got k={k}"):
+        DTMWeights(k)
 
 
 def test_dtm_weighted_rips_gradient_matches_fd(rng):
@@ -400,6 +431,21 @@ def test_height_rejects_direction_without_unit_vector(theta):
         fam.filtration(np.array(theta))
     with pytest.raises(ValueError, match="height direction"):
         fam.simplex_gradient(np.array(theta), (0, 1))
+
+
+def test_height_rejects_a_direction_of_another_dimension():
+    fam = HeightFiltration(build_complex([[0, 1], [1, 2], [2, 3]]), np.arange(8.0).reshape(4, 2))
+    match = r"HeightFiltration on 2-D positions needs a direction of 2 coordinates, got theta of shape \(3,\)"
+    with pytest.raises(ValueError, match=match):
+        fam.filtration(np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=match):
+        fam.simplex_gradient(np.array([1.0, 0.0, 0.0]), (0, 1))
+
+
+def test_height_rejects_positions_of_another_count():
+    with pytest.raises(ValueError, match=r"HeightFiltration on 4 vertices needs 4 positions,"
+                                         r" got positions of shape \(3, 2\)"):
+        HeightFiltration(build_complex([[0, 1], [1, 2], [2, 3]]), np.zeros((3, 2)))
 
 
 def test_raw_values_identity(rng):
@@ -548,10 +594,15 @@ signed = st.sampled_from([-0.0, 0.0, 0.5, -1.5, np.nan]) | finite
 def test_weighted_rips_ranks_order_like_the_values_and_keep_signed_zeros(case):
     X, w = case
     w = np.array(w)
-    fam = WeightedRips(len(X), 2, ConstantWeights(w))
+    f = WeightedRips(len(X), 2, ConstantWeights(w)).filtration(X)
+    # the docstring's edge value max(2 w_i, 2 w_j, ||x_i - x_j|| + w_i + w_j),
+    # entry by entry, its max folded left to right
+    M = np.empty((len(X), len(X)))
     with np.errstate(invalid="ignore"):
-        f = fam.filtration(X)
-        M, _ = fam._edge_matrix(X, w)
+        for i, j in itertools.product(range(len(X)), repeat=2):
+            d = X[i] - X[j]
+            M[i, j] = functools.reduce(
+                np.maximum, [2 * w[i], 2 * w[j], np.sqrt((d * d).sum()) + w[i] + w[j]])
     assert f.values.tobytes() == clique_by_loop(f.complex, M, 2 * w).tobytes()
     assert_keys_match_the_values(f)
 
