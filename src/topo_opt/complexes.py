@@ -151,7 +151,13 @@ class SimplicialComplex:
         """The (p+1)-cofaces of the p-simplices in compressed-row form
         (indptr, indices), for p < dim: the cofaces of the p-simplex at
         position start + r are the positions indices[indptr[r]:indptr[r+1]],
-        in increasing order."""
+        in increasing order.
+
+        Each face column is written straight into one (m, p+2) array, whose
+        stable argsort, floor-divided by p+2, lists the cofaces; the same
+        array, shifted to positions, becomes ``facets(p+1)``.  No other array
+        of that size is made, unless the vertex ids are not their own
+        positions and must be searched for their ranks first."""
         if p not in self._coboundary:
             blocks = self._blocks
             (start, A), (start1, B) = blocks[p], blocks[p + 1]
@@ -160,18 +166,23 @@ class SimplicialComplex:
             vertex_ids = blocks[0][1][:, 0]
             base = len(vertex_ids)
             dtype = np.int64 if base ** (p + 1) < 2**63 else object
-            weights = np.array([base**k for k in range(p, -1, -1)], dtype=dtype)
-            codes = np.searchsorted(vertex_ids, A).astype(dtype) @ weights
-            ranks = np.searchsorted(vertex_ids, B).astype(dtype)
+            if vertex_ids[-1] != base - 1:  # ids are not their own positions
+                A, B = np.searchsorted(vertex_ids, A), np.searchsorted(vertex_ids, B)
+            codes = _codes(A.T, base, dtype)
             # faces[t, k]: row in A of coface t with its k-th vertex removed
-            faces = np.stack(
-                [np.searchsorted(codes, np.delete(ranks, k, axis=1) @ weights)
-                 for k in range(p + 2)], axis=1).ravel()
-            owners = np.repeat(np.arange(start1, start1 + len(B)), p + 2)
+            faces = np.empty((len(B), p + 2), dtype=np.intp)
+            for k in range(p + 2):
+                faces[:, k] = np.searchsorted(
+                    codes, _codes((B[:, j] for j in range(p + 2) if j != k), base, dtype))
+            flat = faces.reshape(-1)
             indptr = np.zeros(len(A) + 1, dtype=np.intp)
-            np.cumsum(np.bincount(faces, minlength=len(A)), out=indptr[1:])
-            self._coboundary[p] = (indptr, owners[np.argsort(faces, kind="stable")])
-            self._facets[p + 1] = start + faces.reshape(len(B), p + 2)
+            np.cumsum(np.bincount(flat, minlength=len(A)), out=indptr[1:])
+            cofaces = np.argsort(flat, kind="stable")
+            cofaces //= p + 2
+            cofaces += start1
+            faces += start
+            self._coboundary[p] = (indptr, cofaces)
+            self._facets[p + 1] = faces
         return self._coboundary[p]
 
     def facets(self, q: int) -> np.ndarray:
@@ -194,18 +205,26 @@ class SimplicialComplex:
             if vertex_ids[-1] != nv - 1:  # ids are not their own positions
                 ids = np.searchsorted(vertex_ids, ids)
             pairs = list(itertools.combinations(range(q + 1), 2))
+            out = np.empty((len(pairs), ids.shape[1]), dtype=np.intp)
             if len(self._blocks[1][1]) == nv * (nv - 1) // 2:
                 # every vertex pair is an edge; before {a, b} come the
                 # nv - 1 - c edges {c, .} of each c < a and the b - a - 1
                 # edges {a, c} with c < b (the search below costs 3x more)
                 a = np.arange(nv)
                 first = a * (2 * nv - a - 3) // 2 - 1
-                self._pairs[q] = np.array([first[ids[j]] + ids[k] for j, k in pairs])
+                for row, (j, k) in zip(out, pairs):
+                    # ids are in range: "clip" changes nothing, and unlike
+                    # "raise" it writes to row without a buffer
+                    np.take(first, ids[j], out=row, mode="clip")
+                    row += ids[k]
             else:
                 # the code a * nv + b of an edge increases with its offset
                 codes = np.searchsorted(vertex_ids, self._blocks[1][1]) @ [nv, 1]
-                self._pairs[q] = np.array([np.searchsorted(codes, ids[j] * nv + ids[k])
-                                           for j, k in pairs])
+                for row, (j, k) in zip(out, pairs):
+                    np.multiply(ids[j], nv, out=row)
+                    row += ids[k]
+                    row[:] = np.searchsorted(codes, row)
+            self._pairs[q] = out
         return self._pairs[q]
 
     def cofaces(self, s: Simplex) -> list[Simplex]:
@@ -219,6 +238,18 @@ class SimplicialComplex:
 
     def n_vertices(self) -> int:
         return len(self._blocks[0][1])
+
+
+def _codes(columns, base: int, dtype) -> np.ndarray:
+    """Each row of the given digit columns, most significant first, read as
+    a number in base ``base``: one running sum, scaled and added to in
+    place, so no array of all the digits is made."""
+    columns = iter(columns)
+    code = np.array(next(columns), dtype=dtype)
+    for col in columns:
+        code *= base
+        code += col.astype(dtype, copy=False)
+    return code
 
 
 def build_complex(simplices: Iterable[Sequence[int]], max_dim: int | None = None) -> SimplicialComplex:
@@ -248,14 +279,17 @@ def complete_complex(n_points: int, max_dim: int) -> SimplicialComplex:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     if max_dim < 0:
         raise ValueError(f"max_dim must be non-negative, got {max_dim}")
-    verts = np.arange(n_points)
-    ids = [verts[:, None]]
+    ids = [np.arange(n_points)[:, None]]
     for p in range(1, min(max_dim, n_points - 1) + 1):
         below = ids[-1]
-        counts = np.array([math.comb(n_points - 1 - a, p) for a in range(n_points)])
-        ends = np.cumsum(counts)
-        rows = np.arange(ends[-1]) + np.repeat(len(below) - ends, counts)
-        ids.append(np.column_stack([np.repeat(verts, counts), below[rows]]))
+        block = np.empty((math.comb(n_points, p + 1), p + 1), dtype=below.dtype)
+        end = 0
+        for a in range(n_points - p):
+            count = math.comb(n_points - 1 - a, p)
+            block[end:end + count, 0] = a
+            block[end:end + count, 1:] = below[len(below) - count:]
+            end += count
+        ids.append(block)
     return SimplicialComplex._from_blocks(ids)
 
 
@@ -380,18 +414,23 @@ def _sort_key(filtration: Filtration) -> np.ndarray:
 def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
     """Simplex indices (a, b) adjacent in the total order ``order`` whose
     values are equal and neither of which is a face of the other, lazily and
-    in order: the candidate stratum boundaries."""
+    in order: the candidate stratum boundaries.  The order is scanned for
+    ties 4096 adjacent pairs at a time, from the last pair checked, so a
+    caller that stops at the first free tie reads little more than it needs."""
     simplex = filtration.complex.simplex
-    values = filtration.values
+    values, key = filtration.values, _sort_key(filtration)
     order = np.asarray(order)
-    ok = _sort_key(filtration)[order]
-    for k in np.nonzero(ok[1:] == ok[:-1])[0]:
-        a, b = int(order[k]), int(order[k + 1])
-        if not values[a] == values[b]:
-            continue  # NaNs share a rank but are not equal
-        sa, sb = simplex(a), simplex(b)
-        if not (is_face(sa, sb) or is_face(sb, sa)):
-            yield a, b
+    chunk = 4096
+    for lo in range(0, len(order) - 1, chunk):
+        at = order[lo:lo + chunk + 1]
+        ok = key[at]
+        for k in np.flatnonzero(ok[1:] == ok[:-1]):
+            a, b = int(at[k]), int(at[k + 1])
+            if not values[a] == values[b]:
+                continue  # NaNs share a rank but are not equal
+            sa, sb = simplex(a), simplex(b)
+            if not (is_face(sa, sb) or is_face(sb, sa)):
+                yield a, b
 
 
 # ---------------------------------------------------------------------------

@@ -226,14 +226,23 @@ class WeightedRips(_CompleteFamily):
     def __init__(self, n_points: int, max_dim: int, weights):
         super().__init__(n_points, max_dim)
         self.weights = weights
+        self._last_weights: tuple | None = None
 
     def _weight_values(self, X: np.ndarray) -> np.ndarray:
-        """The weights of the points of X, checked to be one per point."""
+        """The weights of the points of X, checked to be one per point.
+        ``weights.values`` is read as a function of the cloud: the last
+        cloud's weights are kept, keyed on the weights object and X's shape
+        and bytes, so a step that differentiates many simplices at one
+        cloud computes them once."""
+        key = (self.weights, X.shape, X.tobytes())
+        if self._last_weights is not None and self._last_weights[0] == key:
+            return self._last_weights[1]
         f = self.weights.values(X)
         if np.shape(f) != (self.n_points,):
             raise ValueError(f"{type(self).__name__} on {self.n_points} points needs"
                              f" {self.n_points} weights, got weights.values(X) of shape"
                              f" {np.shape(f)}")
+        self._last_weights = (key, f)
         return f
 
     def filtration(self, X: np.ndarray) -> Filtration:

@@ -21,12 +21,14 @@ facet and coboundary arrays:
   coboundary matrix one dimension at a time from dimension 1 and skips the
   columns already known to be paired.  Apparent pairs (a simplex and its
   earliest coface, when the simplex is that coface's latest face) are found
-  with numpy; only the other columns, over the anti-indices, are reduced.
+  with numpy; only the other columns, over the anti-indices, are reduced,
+  each read through them from the complex's coboundary arrays, which are
+  never copied.
 
-Both paths hand their pairing to ``_pairing``, which holds it as
-per-dimension arrays of complex positions (a ``PersistencePairing``); its
-simplex lists are built on first read, and ``build_diagram`` reads the
-filtration values at those positions.
+Both paths hand their pairing to ``_pairing``, which reads it block by
+block into per-dimension arrays of complex positions (a
+``PersistencePairing``); its simplex lists are built on first read, and
+``build_diagram`` reads the filtration values at those positions.
 """
 from __future__ import annotations
 
@@ -279,7 +281,7 @@ class ReducedDecomposition:
         pairs = np.array(list(self.pivot.items()), dtype=np.intp).reshape(-1, 2)
         births, deaths = self.order[pairs.T]
         partner[births], partner[deaths] = deaths, births
-        return _pairing(self.complex, self.order, partner)
+        return _pairing(self.complex, self.order, len(self.order) - 1 - self.rank, partner)
 
 
 def _cofaces(cx: SimplicialComplex, order: np.ndarray, rank: np.ndarray, q: int) -> np.ndarray:
@@ -300,17 +302,19 @@ def reduce(filtration: Filtration) -> ReducedDecomposition:
 
 
 class _Coboundaries(dict):
-    """Columns of a compressed-row matrix (indptr, entries) as Python-int
-    bitsets, bit e set for entry e: key j holds row rows[j], built on first
-    lookup."""
+    """Columns of a compressed-row matrix (indptr, indices) as Python-int
+    bitsets, its entries read through ``anti``, bit anti[c] set for index c:
+    key j holds row rows[j], built on first lookup, so no copy of the whole
+    matrix is made."""
 
-    def __init__(self, indptr: np.ndarray, entries: np.ndarray, rows: np.ndarray):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, anti: np.ndarray,
+                 rows: np.ndarray):
         super().__init__()
-        self.indptr, self.entries, self.rows = indptr, entries, rows
+        self.indptr, self.indices, self.anti, self.rows = indptr, indices, anti, rows
 
     def __missing__(self, j: int) -> int:
         r = self.rows[j]
-        e = self.entries[self.indptr[r]:self.indptr[r + 1]]
+        e = self.anti[self.indices[self.indptr[r]:self.indptr[r + 1]]]
         bits = np.zeros(int(e.max()) + 1 if len(e) else 0, dtype=bool)
         bits[e] = True
         col = self[j] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
@@ -318,25 +322,32 @@ class _Coboundaries(dict):
         return col
 
 
-def _pairing(cx: SimplicialComplex, order: np.ndarray, partner: np.ndarray):
-    """The PersistencePairing of ``partner`` (position -> paired position,
-    -1 when unpaired) under the filtration order ``order``: pairs by birth
-    order, unpaired simplices in filtration order, and dimensions in order
-    of first appearance."""
-    paired = partner[order] >= 0
-    ranked = order[paired]
-    births = _by_dim(ranked[cx.dim_of[ranked] < cx.dim_of[partner[ranked]]], cx)
+def _pairing(cx: SimplicialComplex, order: np.ndarray, anti: np.ndarray,
+             partner: np.ndarray):
+    """The PersistencePairing of ``partner`` (complex index -> paired index,
+    -1 when unpaired) under the filtration order ``order``, whose inverse
+    ``anti`` maps a complex index to n-1-position.  It is read block by
+    block: the births of dimension p are the p-simplices whose partner lies
+    in the next block, the unpaired ones those with none, each listed in
+    filtration order; dimensions come in order of their first birth, or
+    first unpaired simplex."""
+    births: dict[int, np.ndarray] = {}
+    essential: dict[int, np.ndarray] = {}
+    last = len(order) - 1
+    for p, (start, ids) in enumerate(cx.blocks()):
+        end = start + len(ids)
+        mate = partner[start:end]
+        for part, at in ((births, mate >= end), (essential, mate < 0)):
+            found = anti[start + np.flatnonzero(at)]
+            if len(found):
+                # n-1 minus the sorted anti-positions: positions, descending
+                found.sort()
+                np.subtract(last, found, out=found)
+                part[p] = order[found[::-1]]
+    births, essential = (dict(sorted(part.items(), key=lambda kv: -anti[kv[1][0]]))
+                         for part in (births, essential))
     deaths = {p: partner[bs] for p, bs in births.items()}
-    return PersistencePairing(cx, births, deaths, _by_dim(order[~paired], cx))
-
-
-def _by_dim(indices: np.ndarray, cx: SimplicialComplex) -> dict[int, np.ndarray]:
-    """Split an index array by simplex dimension, keeping the order within
-    each part; dimensions come in order of first appearance."""
-    dims = cx.dim_of[indices]
-    masks = [dims == p for p in range(cx.dim + 1)]
-    present = sorted((int(np.argmax(at)), p) for p, at in enumerate(masks) if at.any())
-    return {p: indices[masks[p]] for _, p in present}
+    return PersistencePairing(cx, births, deaths, essential)
 
 
 def _elder_merges(vertex_pos: list[int], edges) -> list[tuple[int, int]]:
@@ -398,49 +409,64 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     the complex), the apparent pairs seed the pivots, and only the other
     columns are reduced; an apparent column is built only when a reduced
     column meets its pivot.
+
+    Besides the pairing, it keeps one anti-position array (n-1-position of
+    every simplex); a column is read through it from the complex's
+    coboundary slice when first needed, and each column's earliest coface
+    is one ``maximum.reduceat`` over the non-empty coboundary segments.
     """
     cx = filtration.complex
     n = len(cx)
     order = _order_indices(filtration)
-    pos = np.empty(n, dtype=np.intp)
-    pos[order] = np.arange(n)
-    anti = n - 1 - pos
+    anti = np.empty(n, dtype=np.intp)
+    anti[order] = np.arange(n - 1, -1, -1)
     partner = np.full(n, -1, dtype=np.intp)
     blocks = cx.blocks()
     if len(blocks) > 1:
         nv, facets = blocks[1][0], cx.facets(1)
-        edges = np.argsort(pos[nv:nv + len(facets)])
-        merges = _elder_merges(pos[:nv].tolist(),
+        edges = np.argsort(anti[nv:nv + len(facets)])[::-1]
+        merges = _elder_merges((n - 1 - anti[:nv]).tolist(),
                                zip((nv + edges).tolist(), *facets[edges].T.tolist()))
         births, deaths = np.array(merges, dtype=np.intp).reshape(-1, 2).T
         partner[births] = deaths
         partner[deaths] = births
     for p in range(1, len(blocks) - 1):
-        start, ids = blocks[p]
-        indptr, cofaces = cx.coboundary(p)
-        entries = anti[cofaces]
-        rows = np.argsort(pos[start:start + len(ids)])[::-1]
-        rows = rows[partner[start + rows] < 0]
-        # earliest coface of every column, -1 for none (a trailing -1 keeps
-        # every segment start inside the array)
-        earliest = np.maximum.reduceat(np.append(entries, -1), indptr[:-1])
-        earliest[indptr[1:] == indptr[:-1]] = -1
-        top = earliest[rows]
-        has = np.flatnonzero(top >= 0)
-        faces = cx.facets(p + 1)[order[n - 1 - top[has]] - blocks[p + 1][0]]
-        latest = faces[np.arange(len(faces)), np.argmax(pos[faces], axis=1)]
-        apparent = np.zeros(len(rows), dtype=bool)
-        apparent[has] = latest == start + rows[has]
-        rest = rows[~apparent]
-        keys = np.concatenate([rest, rows[apparent]])
-        cols = _Coboundaries(indptr, entries, keys)
-        pivot = _reduce_columns(map(cols.__getitem__, range(len(rest))), cols,
-                                dict(zip(top[apparent].tolist(), range(len(rest), len(rows)))))
-        births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
-        deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
-        partner[births] = deaths
-        partner[deaths] = births
-    return _pairing(cx, order, partner)
+        _pair_coboundary(cx, p, order, anti, partner)
+    return _pairing(cx, order, anti, partner)
+
+
+def _pair_coboundary(cx: SimplicialComplex, p: int, order: np.ndarray, anti: np.ndarray,
+                     partner: np.ndarray) -> None:
+    """Reduce the coboundary columns of the p-simplices not yet paired, in
+    reverse filtration order, with apparent pairs as seeded pivots, and
+    write each pair found into ``partner``: one dimension of
+    ``persistence_pairs``, whose temporaries go when it returns."""
+    n = len(order)
+    blocks = cx.blocks()
+    start, ids = blocks[p]
+    indptr, cofaces = cx.coboundary(p)
+    rows = np.argsort(anti[start:start + len(ids)])
+    rows = rows[partner[start + rows] < 0]
+    # earliest coface of every column, -1 for none: one maximum per
+    # non-empty segment, each running up to the next one's start
+    earliest = np.full(len(ids), -1, dtype=np.intp)
+    filled = np.flatnonzero(indptr[1:] > indptr[:-1])
+    earliest[filled] = np.maximum.reduceat(anti[cofaces], indptr[filled])
+    top = earliest[rows]
+    has = np.flatnonzero(top >= 0)
+    faces = cx.facets(p + 1)[order[n - 1 - top[has]] - blocks[p + 1][0]]
+    latest = faces[np.arange(len(faces)), np.argmin(anti[faces], axis=1)]
+    apparent = np.zeros(len(rows), dtype=bool)
+    apparent[has] = latest == start + rows[has]
+    rest = rows[~apparent]
+    keys = np.concatenate([rest, rows[apparent]])
+    cols = _Coboundaries(indptr, cofaces, anti, keys)
+    pivot = _reduce_columns(map(cols.__getitem__, range(len(rest))), cols,
+                            dict(zip(top[apparent].tolist(), range(len(rest), len(rows)))))
+    births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
+    deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
+    partner[births] = deaths
+    partner[deaths] = births
 
 
 def build_diagram(

@@ -11,11 +11,15 @@ from topo_opt.complexes import (
     Filtration,
     NotMonotoneError,
     OrderingSignature,
+    _free_ties,
+    _order_indices,
     boundary,
+    is_face,
     read_complex,
     total_order,
     write_complex,
 )
+from topo_opt.filtrations import LowerStar, VietorisRips
 from conftest import random_filtration
 
 
@@ -316,3 +320,30 @@ def test_ordering_signature_compares_order_bytes_without_the_tuple(rng):
     swapped[0], swapped[1] = swapped[1], swapped[0]
     assert OrderingSignature(swapped) != a
     assert a != a.order
+
+
+def every_free_tie(f, order):
+    """Every free tie of the order, found by one comparison of all adjacent
+    pairs: (a, b) adjacent, equal in value, and not face-related."""
+    pairs = zip(order[:-1].tolist(), order[1:].tolist())
+    return [(a, b) for a, b in pairs if f.values[a] == f.values[b]
+            and not is_face(f.complex.simplex(a), f.complex.simplex(b))
+            and not is_face(f.complex.simplex(b), f.complex.simplex(a))]
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Filtration(complete_complex(30, 2), np.zeros(4525)),  # all tied
+    lambda rng: VietorisRips(30, 2).filtration(np.round(rng.uniform(-1, 1, (30, 2)), 1)),
+    lambda rng: LowerStar(complete_complex(25, 2)).filtration(
+        np.round(rng.uniform(0, 1, 25), 1)),
+    lambda rng: LowerStar(complete_complex(25, 2)).filtration(
+        np.where(rng.uniform(size=25) < 0.2, np.nan, np.round(rng.uniform(0, 1, 25), 1))),
+    lambda rng: random_filtration(rng),
+])
+def test_free_ties_are_every_free_tie_in_order(rng, make):
+    # the tie-heavy orders run past the first 4096 adjacent pairs scanned
+    f = make(rng)
+    order = _order_indices(f)
+    want = every_free_tie(f, order)
+    assert list(_free_ties(f, order)) == want
+    assert total_order(f).tied == bool(want)

@@ -16,6 +16,7 @@ from topo_opt.complexes import (
     is_face,
     total_order,
 )
+from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import (
     ConstantWeights,
     DTMWeights,
@@ -233,6 +234,32 @@ def test_dtm_weights_brute_force(rng):
     for i in range(6):
         d = np.sort(np.linalg.norm(X - X[i], axis=1))
         np.testing.assert_allclose(w[i], d[1 : k + 1].mean())
+
+
+def test_weighted_rips_reads_its_weights_once_per_cloud(rng):
+    calls = []
+
+    class CountedDTM(DTMWeights):
+        def values(self, X):
+            calls.append(len(X))
+            return super().values(X)
+
+    X = gen_circle(20, outlier=True, seed=0)
+    family = WeightedRips(len(X), 2, CountedDTM(3))
+    _, grad, dgm = vanilla_gradient(family, X, TotalPersistenceLoss(dims=(0, 1)))
+    assert len(calls) == 1 and sum(map(len, dgm.pairs.values())) > 1
+    fresh = WeightedRips(len(X), 2, DTMWeights(3))
+    _, want, _ = vanilla_gradient(fresh, X, TotalPersistenceLoss(dims=(0, 1)))
+    np.testing.assert_array_equal(grad, want)
+    # another cloud, or other weights, are read afresh
+    Y = X + rng.normal(scale=0.01, size=X.shape)
+    np.testing.assert_array_equal(family.filtration(Y).values, fresh.filtration(Y).values)
+    assert len(calls) == 2
+    family.weights = ConstantWeights(np.ones(len(X)))
+    np.testing.assert_array_equal(
+        family.filtration(Y).values,
+        WeightedRips(len(X), 2, ConstantWeights(np.ones(len(X)))).filtration(Y).values)
+    assert len(calls) == 2
 
 
 def test_dtm_rejects_large_k():

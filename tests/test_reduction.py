@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo_opt import build_complex, triangulated_torus
-from topo_opt.complexes import Filtration, boundary
+from topo_opt.complexes import Filtration, boundary, complete_complex
 from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import LowerStar, VietorisRips
 from topo_opt.reduction import (
@@ -397,6 +397,16 @@ def assert_reduced_columns_match_a_full_reduction(dec):
             assert mat.reduce_prefix(mat.raw(c), c, {}) == full[c], (mat.flip, c)
 
 
+def traced_peak(fn):
+    """(bytes still held after fn returns, tracemalloc peak during fn)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
 def test_reduce_holds_no_whole_raw_matrix():
     """At 61 points (37,881 simplices) the raw triangle columns, up to
     37,881 bits each, would take about 97 MiB if all were built before the
@@ -404,13 +414,29 @@ def test_reduce_holds_no_whole_raw_matrix():
     result, about 10 MiB."""
     X = gen_circle(60, outlier=True, seed=0)
     filt = VietorisRips(len(X), 2).filtration(X)
-    tracemalloc.start()
-    try:
-        reduce(filt)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: reduce(filt))
     assert peak < 30 * 2**20, f"reduce peaked at {peak / 2**20:.1f} MiB"
+
+
+def test_coboundary_writes_its_faces_into_the_arrays_it_keeps():
+    """At 61 points the edge coboundary and the triangle facets keep about
+    1.7 MiB; built from full-size copies of the faces, codes and owners,
+    the peak would be 2.5 times that."""
+    cx = complete_complex(61, 2)
+    kept, peak = traced_peak(lambda: cx.coboundary(1))
+    assert peak < 1.5 * kept, (f"coboundary(1) peaked at {peak / 2**20:.2f} MiB,"
+                               f" keeping {kept / 2**20:.2f}")
+
+
+def test_persistence_pairs_holds_no_copy_of_the_coboundary():
+    """At 61 points (37,881 simplices) the pairing reads the coboundary
+    through the anti-positions, column by column; a copy of its entries,
+    or masks over the whole order, would take the peak past 3 MiB."""
+    X = gen_circle(60, outlier=True, seed=0)
+    filt = VietorisRips(len(X), 2).filtration(X)
+    persistence_pairs(filt)  # the complex builds and keeps its index arrays
+    _, peak = traced_peak(lambda: persistence_pairs(filt))
+    assert peak < 2.5 * 2**20, f"persistence_pairs peaked at {peak / 2**20:.2f} MiB"
 
 
 @settings(max_examples=60, deadline=None)
