@@ -63,10 +63,9 @@ class SimplicialComplex:
     and an (m, p+1) array of vertex ids, row r holding the vertices of the
     simplex at position start + r.  Positions follow the (dimension,
     lexicographic) sort, so each dimension is one contiguous run.  The tuple
-    list ``simplices``, the position lookup ``index`` and the dimensions
-    ``dim_of`` are views of the blocks, built on first read; coboundaries,
-    facets and vertex pairs are computed on first use.  Everything is kept,
-    the complex being immutable.
+    list ``simplices`` and the position lookup ``index`` are views of the
+    blocks, built on first read; coboundaries, facets and vertex pairs are
+    computed on first use.  Everything is kept, the complex being immutable.
     """
 
     def __init__(self, simplices: Iterable[Simplex]):
@@ -104,12 +103,6 @@ class SimplicialComplex:
     def index(self) -> dict[Simplex, int]:
         """Position of every simplex."""
         return {s: i for i, s in enumerate(self.simplices)}
-
-    @cached_property
-    def dim_of(self) -> np.ndarray:
-        """The dimension of the simplex at every position, as int8."""
-        return np.repeat(np.arange(len(self._blocks), dtype=np.int8),
-                         [len(ids) for _, ids in self._blocks])
 
     def simplex(self, i: int) -> Simplex:
         """The simplex at position i, read off its block unless the whole

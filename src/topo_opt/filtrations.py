@@ -8,7 +8,8 @@ deterministic witness so the map is piecewise differentiable.  Every
 family but the raw values also ranks its values in integers, so that the
 total order sorts small integer keys (Bauer, Ripser, 2021).  The two Rips
 families share one clique fold, which takes the max over each simplex's
-vertex pairs from the edge values alone, and one witness rule.
+vertex pairs from the edge values alone, and every family but the raw
+values shares one witness rule, ``_first_largest``.
 """
 from __future__ import annotations
 
@@ -102,19 +103,28 @@ class _CompleteFamily:
         cx = self.complex
         return cx.blocks()[1][1].T if cx.dim >= 1 else np.empty((2, 0), dtype=int)
 
-    def _witness_pair(self, simplex: Simplex, values) -> int:
-        """The witness of the simplex: the position, among its vertex pairs
-        in lexicographic order, of the first largest of their ``values``,
-        where a NaN (or -inf) never wins.  A simplex with no such pair
-        raises ValueError."""
-        best, wit = -np.inf, None
-        for k, v in enumerate(values):
-            if v > best:
-                best, wit = v, k
-        if wit is None:
-            raise ValueError(f"{type(self).__name__}: simplex {simplex} has no witness pair,"
-                             f" its pair values are {list(map(float, values))}")
-        return wit
+
+def _first_largest(family, simplex: Simplex, values, what: str) -> int:
+    """The witness rule of every family: the position of the first largest
+    of ``values``, where a NaN never wins.  The values are a Rips simplex's
+    pair values, its vertex pairs in lexicographic order, or a lower-star
+    simplex's vertex values, in vertex order.  A simplex whose values are
+    all NaN raises ValueError naming the family and the simplex."""
+    wit = None
+    for k, v in enumerate(values):
+        if v == v and (wit is None or v > values[wit]):
+            wit = k
+    if wit is None:
+        raise ValueError(f"{type(family).__name__}: simplex {simplex} has no witness {what},"
+                         f" its {what} values are {list(map(float, values))}")
+    return wit
+
+
+def _witness_vertex(family, vindex: dict, f, simplex: Simplex) -> int:
+    """The witness of a lower-star simplex: its vertex, in vertex order,
+    with the first largest of the values ``f`` (indexed through vindex)."""
+    f, simplex = np.asarray(f, dtype=float), tuple(sorted(simplex))
+    return simplex[_first_largest(family, simplex, [f[vindex[v]] for v in simplex], "vertex")]
 
 
 class VietorisRips(_CompleteFamily):
@@ -142,7 +152,7 @@ class VietorisRips(_CompleteFamily):
         pairs = list(itertools.combinations(simplex, 2))
         diff = [X[i] - X[j] for i, j in pairs]
         length = [float(np.sqrt(d @ d)) for d in diff]
-        k = self._witness_pair(simplex, length)
+        k = _first_largest(self, simplex, length, "pair")
         g = diff[k] / (2.0 * length[k])
         i, j = pairs[k]
         return {i: g, j: -g}
@@ -263,7 +273,7 @@ class WeightedRips(_CompleteFamily):
             return _scale_sparse(self.weights.gradient(X, simplex[0]), 2.0)
         pairs = list(itertools.combinations(simplex, 2))
         values, length = _edge_values(X, f, *np.array(pairs).T)
-        k = self._witness_pair(simplex, values)
+        k = _first_largest(self, simplex, values, "pair")
         i, j = pairs[k]
         if length[k] + f[i] + f[j] >= max(2 * f[i], 2 * f[j]):
             # edge term active (wins ties)
@@ -306,8 +316,9 @@ class LowerStar:
 
     Parameter is the vector of vertex values (indexed by sorted vertex id);
     the simplex value is the max over its vertices, witnessed by the
-    smallest vertex id among the maximizers.  A vector of another length
-    raises ValueError.
+    smallest vertex id among the maximizers, where a NaN never wins (a
+    simplex whose values are all NaN has no witness: ValueError).  A vector
+    of another length raises ValueError.
     """
 
     def __init__(self, complex: SimplicialComplex):
@@ -337,9 +348,7 @@ class LowerStar:
                           rank=np.concatenate(rank))
 
     def witness(self, f: np.ndarray, simplex: Simplex) -> int:
-        f = np.asarray(f, dtype=float)
-        best = max(f[self.vindex[v]] for v in simplex)
-        return min(v for v in simplex if f[self.vindex[v]] == best)
+        return _witness_vertex(self, self.vindex, f, simplex)
 
     def simplex_gradient(self, f: np.ndarray, simplex: Simplex) -> dict:
         return {self.vindex[self.witness(f, tuple(simplex))]: 1.0}
@@ -382,7 +391,8 @@ class HeightFiltration:
         return self._lower_star.filtration(self.positions @ self._unit(theta))
 
     def witness(self, theta: np.ndarray, simplex: Simplex) -> int:
-        return self._lower_star.witness(self.positions @ self._unit(theta), simplex)
+        return _witness_vertex(self, self._lower_star.vindex,
+                               self.positions @ self._unit(theta), simplex)
 
     def simplex_gradient(self, theta: np.ndarray, simplex: Simplex) -> dict:
         theta = self._unit(theta)

@@ -82,13 +82,21 @@ def singleton_loss(points, index: int, target):
     return value, grad
 
 
+def _check_bandwidth(bandwidth) -> None:
+    if not 0 < bandwidth < np.inf:
+        raise ValueError(f"linear vectorization needs a finite bandwidth > 0,"
+                         f" got {bandwidth!r}")
+
+
 def linear_vectorization(points, grid, bandwidth: float):
     """Gaussian-bump image of a diagram on a fixed grid.
 
     feature_k = sum_i exp(-||x_i - g_k||^2 / (2 s^2)); a point sitting on a
     grid node contributes exactly 1 there.  Returns (features, jacobian) with
-    jacobian[k, i] = d feature_k / d x_i.
+    jacobian[k, i] = d feature_k / d x_i.  A bandwidth that is not finite
+    and positive raises ValueError.
     """
+    _check_bandwidth(bandwidth)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     g = np.asarray(grid, dtype=float).reshape(-1, 2)
     diff = pts[None, :, :] - g[:, None, :]  # (K, m, 2)
@@ -281,6 +289,7 @@ class LinearVectorizationLoss(DiagramLoss):
     def __init__(self, dim: int, grid, bandwidth: float, weights):
         self.dims = (dim,)
         self.grid = np.asarray(grid, dtype=float).reshape(-1, 2)
+        _check_bandwidth(bandwidth)
         self.bandwidth = bandwidth
         self.weights = np.asarray(weights, dtype=float)
 

@@ -2,28 +2,31 @@
 
 Every column is a Python-int bitset, bit r set for row r: a column addition
 is one xor and the lowest one is ``bit_length() - 1``, both in C, where a
-set column would need a scan for its maximum after every addition.  One
-left-to-right reducer, ``_reduce_columns``, serves both paths and the bases.
-It is fed column by column, each raw column built when it is reached, so
-no raw matrix is held whole.  Both paths read the complex only through its
-facet and coboundary arrays:
+set column would need a scan for its maximum after every addition.
+
+One loop, ``_reduce``, reduces every column in the package: a column
+against a prefix of the reduced columns, with a column it needs that is not
+yet reduced built by the matrix's column builder and reduced first.
+``_reduce_columns`` drives it left to right and claims each pivot, so the
+reduction of a whole matrix, a column reduced on demand for a moving set
+and a basis V, U = V^-1 are the same loop.  Columns are built one at a time
+from the complex's facet and coboundary index arrays (a face column with
+``_bitset``, a coboundary column with ``_cocolumn``), so no raw matrix is
+held whole:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
   ones), in positions of the total order.  A ``ReducedDecomposition`` is
   not changed after its reduction.  It serves the moving sets through two
   ``_PairedMatrix`` forms, D (whose reduced columns are R) and D's
-  anti-transpose (each column a coboundary slice, reduced on demand), each
-  with a basis V, U = V^{-1} built on first read; only the fast moving sets
-  read a basis.
+  anti-transpose (reduced on demand), each with a basis built on first
+  read; only the fast moving sets read a basis.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): dimension 0 by union-find under the elder rule,
   with no vertex cocolumn, then cohomology with clearing, which reduces the
   coboundary matrix one dimension at a time from dimension 1 and skips the
   columns already known to be paired.  Apparent pairs (a simplex and its
   earliest coface, when the simplex is that coface's latest face) are found
-  with numpy; only the other columns, over the anti-indices, are reduced,
-  each read through them from the complex's coboundary arrays, which are
-  never copied.
+  with numpy and seed the pivots; only the other columns are reduced.
 
 Both paths hand their pairing to ``_pairing``, which reads it block by
 block into per-dimension arrays of complex positions (a
@@ -32,9 +35,11 @@ block into per-dimension arrays of complex positions (a
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -116,10 +121,10 @@ def _bits(col: int):
         col ^= 1 << low
 
 
-def _bitset(rows) -> int:
-    """The bitset column with the given rows set."""
+def _bitset(rows: list[list[int]], c: int) -> int:
+    """Column c as a bitset, the rows rows[c] set."""
     col = 0
-    for r in rows:
+    for r in rows[c]:
         col |= 1 << r
     return col
 
@@ -132,28 +137,55 @@ def _simplices_at(cx: SimplicialComplex, positions: np.ndarray, p: int):
     return map(tuple, ids[positions - start].tolist())
 
 
-def _reduce_columns(cols, reduced, pivot: dict[int, int], basis=None) -> dict[int, int]:
-    """Left-to-right reduction of the bitset columns that ``cols`` yields,
-    each built when the loop reaches it: column j, reduced against ``pivot``
-    (lowest one -> column), is written to reduced[j], and pivot column k is
-    read as reduced[k], which the store may build on first read for a
-    seeded pivot.  Serves the boundary matrix for ``reduce``, a cohomology
-    dimension of ``persistence_pairs``, and either form of a
-    ``_PairedMatrix`` when its basis (V columns, U rows) is read and passed
-    to be updated.  Returns the pivots."""
-    V, U = basis or (None, None)
-    for j, col in enumerate(cols):
+def _reduce(col: int, bound: int, extra: dict[int, int], pivot: dict[int, int],
+            done: list[int | None], raw, basis=None) -> int:
+    """The one column reduction: col, as column ``bound``, reduced against
+    the reduced columns before ``bound`` (``pivot`` maps a lowest one to its
+    column, ``done`` holds the reduced columns) and the ``extra`` columns
+    keyed by their lowest ones, until its lowest one is claimed by neither.
+
+    A reduced column it needs that is still None in ``done`` is built by
+    ``raw`` and reduced first, the same way against the columns before it,
+    without recursion: every lowest one met on the way is claimed by an
+    earlier column, so that is the column of a full left-to-right
+    reduction.  With a basis (V columns, U rows), each addition of column k
+    to column ``bound`` is also made in V and U."""
+    waiting = []
+    while True:
         while col:
             low = col.bit_length() - 1
-            k = pivot.get(low)
-            if k is None:
-                pivot[low] = j
+            k = pivot.get(low, bound)  # an unclaimed lowest one is not before bound
+            if k < bound:
+                reduced = done[k]
+                if reduced is None:
+                    waiting.append((col, bound, extra))
+                    col, bound, extra = raw(k), k, {}
+                    continue
+                col ^= reduced
+                if basis is not None:
+                    V, U = basis
+                    V[bound] ^= V[k]
+                    U[k] ^= U[bound]
+            elif low in extra:
+                col ^= extra[low]
+            else:
                 break
-            col ^= reduced[k]
-            if V is not None:
-                V[j] ^= V[k]
-                U[k] ^= U[j]
-        reduced[j] = col
+        if not waiting:
+            return col
+        done[bound] = col
+        col, bound, extra = waiting.pop()
+
+
+def _reduce_columns(raw, done: list[int | None], pivot: dict[int, int], start: int = 0,
+                    basis=None) -> dict[int, int]:
+    """Left-to-right reduction of columns ``start`` onwards of ``done``,
+    column j built as raw(j) when the loop reaches it and reduced by
+    ``_reduce``; a nonzero column claims its lowest one in ``pivot``, which
+    may be seeded with columns before ``start``.  Returns the pivots."""
+    for j in range(start, len(done)):
+        col = done[j] = _reduce(raw(j), j, {}, pivot, done, raw, basis)
+        if col:
+            pivot[col.bit_length() - 1] = j
     return pivot
 
 
@@ -164,59 +196,34 @@ class _PairedMatrix:
     (co)homology, 2011).
 
     ``index`` maps a position of the order to its column and back: the
-    identity for D, q -> n-1-q for the anti-transpose.  ``rows(c)`` lists
-    the rows of column c, the columns of the faces (D) or cofaces
-    (anti-transpose) of its simplex, and ``raw(c)`` is that column as a
-    Python-int bitset.  ``pivot`` maps a lowest one to its column, and
-    ``reduce_prefix`` reduces a column against a prefix of the reduced
-    columns.  ``columns`` keeps the reduced columns, None for one not yet
-    reduced; D's are the decomposition's own R, so D is never reduced twice.
-    ``basis`` (V columns, U = V^-1 rows, as bitsets) is built on first read.
-    The matrix holds no reference to the decomposition."""
+    identity for D, q -> n-1-q for the anti-transpose.  ``raw(c)`` builds
+    column c as a Python-int bitset, its rows the columns of the faces (D)
+    or cofaces (anti-transpose) of its simplex.  ``pivot`` maps a lowest one
+    to its column, and ``reduce_prefix`` reduces a column against a prefix
+    of the reduced columns.  ``columns`` keeps the reduced columns, None for
+    one not yet reduced; D's are the decomposition's own R, so D is never
+    reduced twice.  ``basis`` (V columns, U = V^-1 rows, as bitsets) is
+    built on first read.  The matrix holds no reference to the
+    decomposition."""
 
-    def __init__(self, rows, pivot: dict[int, int], columns: list[int | None], flip: bool):
-        self.n, self.rows = len(columns), rows
+    def __init__(self, raw, pivot: dict[int, int], columns: list[int | None], flip: bool):
+        self.n, self.raw = len(columns), raw
         self.pivot, self.columns, self.flip = pivot, columns, flip
 
     def index(self, q: int) -> int:
         return self.n - 1 - q if self.flip else q
 
-    def raw(self, c: int) -> int:
-        return _bitset(self.rows(c))
-
     def reduce_prefix(self, col: int, bound: int, extra: dict[int, int]) -> int:
         """col reduced against the reduced columns before ``bound`` and the
-        ``extra`` columns keyed by their lowest ones, until its lowest one is
-        claimed by neither.  A reduced column it needs is reduced first, the
-        same way against the columns before it, without recursion: every
-        lowest one met on the way is claimed by an earlier column, so that
-        is the column of a full left-to-right reduction."""
-        done, pivot, waiting = self.columns, self.pivot, []
-        while True:
-            while col:
-                low = col.bit_length() - 1
-                k = pivot.get(low, bound)  # an unclaimed lowest one is not before bound
-                if k < bound:
-                    if done[k] is None:
-                        waiting.append((col, bound, extra))
-                        col, bound, extra = self.raw(k), k, {}
-                        continue
-                    col ^= done[k]
-                elif low in extra:
-                    col ^= extra[low]
-                else:
-                    break
-            if not waiting:
-                return col
-            done[bound] = col
-            col, bound, extra = waiting.pop()
+        ``extra`` columns keyed by their lowest ones (see ``_reduce``)."""
+        return _reduce(col, bound, extra, self.pivot, self.columns, self.raw)
 
     @cached_property
     def basis(self) -> tuple[list[int], list[int]]:
         """(V columns, U rows) of one reduction with a basis, U = V^-1; it
         fills ``columns`` (D's R is rewritten with the same values)."""
         V, U = [1 << j for j in range(self.n)], [1 << j for j in range(self.n)]
-        _reduce_columns(map(self.raw, range(self.n)), self.columns, {}, (V, U))
+        _reduce_columns(self.raw, self.columns, {}, basis=(V, U))
         return V, U
 
 
@@ -237,8 +244,8 @@ class ReducedDecomposition:
         for p in range(1, cx.dim + 1):
             by_index += self.rank[cx.facets(p)].tolist()
         self.faces: list[list[int]] = list(map(by_index.__getitem__, self.order.tolist()))
-        self.R: list[int] = [0] * len(self.faces)
-        self.pivot = _reduce_columns(map(_bitset, self.faces), self.R, {})
+        self.R: list[int] = [None] * len(self.faces)
+        self.pivot = _reduce_columns(partial(_bitset, self.faces), self.R, {})
 
     @cached_property
     def simplices(self) -> list[Simplex]:
@@ -248,14 +255,13 @@ class ReducedDecomposition:
     @cached_property
     def D(self) -> _PairedMatrix:
         """The boundary matrix, reduced: its reduced columns are R."""
-        return _PairedMatrix(self.faces.__getitem__, self.pivot, self.R, flip=False)
+        return _PairedMatrix(partial(_bitset, self.faces), self.pivot, self.R, flip=False)
 
     @cached_property
     def anti_D(self) -> _PairedMatrix:
         """The anti-transposed boundary matrix, reduced on demand."""
         n = len(self.order)
-        anti = partial(_cofaces, self.complex, self.order, n - 1 - self.rank)
-        return _PairedMatrix(lambda c: anti(n - 1 - c).tolist(),
+        return _PairedMatrix(partial(_cocolumn, self.complex, self.order[::-1], n - 1 - self.rank),
                              {n - 1 - c: n - 1 - row for row, c in self.pivot.items()},
                              [None] * n, flip=True)
 
@@ -287,39 +293,30 @@ class ReducedDecomposition:
 def _cofaces(cx: SimplicialComplex, order: np.ndarray, rank: np.ndarray, q: int) -> np.ndarray:
     """The cofaces of the simplex at position q of ``order``, one slice of
     the complex's coboundary arrays, mapped through ``rank`` to positions."""
-    i = order[q]
-    p = int(cx.dim_of[i])
+    i, blocks = order[q], cx.blocks()
+    p = bisect_right(blocks, i, key=itemgetter(0)) - 1
     if p == cx.dim:
         return rank[:0]
     indptr, cofaces = cx.coboundary(p)
-    r = i - cx.blocks()[p][0]
+    r = i - blocks[p][0]
     return rank[cofaces[indptr[r]:indptr[r + 1]]]
+
+
+def _cocolumn(cx: SimplicialComplex, ids: np.ndarray, anti: np.ndarray, c: int) -> int:
+    """The coboundary of the simplex at complex index ids[c] as a Python-int
+    bitset, bit anti[t] set for each coface t: one slice of the complex's
+    coboundary arrays, packed, so no copy of the whole matrix is made."""
+    e = _cofaces(cx, ids, anti, c)
+    if not len(e):
+        return 0
+    bits = np.zeros(int(e.max()) + 1, dtype=bool)
+    bits[e] = True
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def reduce(filtration: Filtration) -> ReducedDecomposition:
     """Reduce the boundary matrix of a filtration."""
     return ReducedDecomposition(filtration)
-
-
-class _Coboundaries(dict):
-    """Columns of a compressed-row matrix (indptr, indices) as Python-int
-    bitsets, its entries read through ``anti``, bit anti[c] set for index c:
-    key j holds row rows[j], built on first lookup, so no copy of the whole
-    matrix is made."""
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, anti: np.ndarray,
-                 rows: np.ndarray):
-        super().__init__()
-        self.indptr, self.indices, self.anti, self.rows = indptr, indices, anti, rows
-
-    def __missing__(self, j: int) -> int:
-        r = self.rows[j]
-        e = self.anti[self.indices[self.indptr[r]:self.indptr[r + 1]]]
-        bits = np.zeros(int(e.max()) + 1 if len(e) else 0, dtype=bool)
-        bits[e] = True
-        col = self[j] = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
-                                       "little")
-        return col
 
 
 def _pairing(cx: SimplicialComplex, order: np.ndarray, anti: np.ndarray,
@@ -458,12 +455,12 @@ def _pair_coboundary(cx: SimplicialComplex, p: int, order: np.ndarray, anti: np.
     latest = faces[np.arange(len(faces)), np.argmin(anti[faces], axis=1)]
     apparent = np.zeros(len(rows), dtype=bool)
     apparent[has] = latest == start + rows[has]
-    rest = rows[~apparent]
-    keys = np.concatenate([rest, rows[apparent]])
-    cols = _Coboundaries(indptr, cofaces, anti, keys)
-    pivot = _reduce_columns(map(cols.__getitem__, range(len(rest))), cols,
-                            dict(zip(top[apparent].tolist(), range(len(rest), len(rows)))))
-    births = start + keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
+    # apparent columns first, each seeding its pivot; the rest are reduced
+    a = np.count_nonzero(apparent)
+    keys = start + np.concatenate([rows[apparent], rows[~apparent]])
+    pivot = _reduce_columns(partial(_cocolumn, cx, keys, anti), [None] * len(keys),
+                            dict(zip(top[apparent].tolist(), range(a))), start=a)
+    births = keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
     deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
     partner[births] = deaths
     partner[deaths] = births

@@ -35,12 +35,21 @@ def vanilla_gradient(family, theta, loss: DiagramLoss):
 # strata sampling and the min-norm point
 
 
+def _is_count(m) -> bool:
+    """Whether m is an integer >= 0."""
+    return isinstance(m, (int, np.integer)) and m >= 0
+
+
 def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
     """Sample up to m parameter points with pairwise-distinct total simplex
     orders from the eps-ball around theta (theta's own stratum is always
     included first).  Rejection sampling is capped at 20*m draws; a draw
     whose values break the face order (possible for raw values) is
-    rejected."""
+    rejected.  Needs 0 < eps < inf and an integer m >= 0 (ValueError)."""
+    if not 0 < eps < np.inf:
+        raise ValueError(f"sample_strata needs a radius 0 < eps < inf, got eps={eps!r}")
+    if not _is_count(m):
+        raise ValueError(f"sample_strata needs an integer count m >= 0, got m={m!r}")
     theta = np.asarray(theta, dtype=float)
     seen = {total_order(family.filtration(theta))}
     out = [theta.copy()]
@@ -132,9 +141,9 @@ class StratifiedConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, ok in (("eps", self.eps > 0), ("beta", 0 < self.beta < 1),
-                         ("C", self.C > 0), ("shrink", 0 < self.shrink < 1),
-                         ("eta", self.eta > 0)):
+        for name, ok in (("eps", 0 < self.eps < np.inf), ("m", _is_count(self.m)),
+                         ("beta", 0 < self.beta < 1), ("C", self.C > 0),
+                         ("shrink", 0 < self.shrink < 1), ("eta", self.eta > 0)):
             if not ok:
                 raise ValueError(
                     f"StratifiedConfig.{name} out of range: {getattr(self, name)!r}")

@@ -13,6 +13,7 @@ from topo_opt.experiments import (
     gen_circle,
     gen_sphere,
     run_experiment,
+    run_sphere_experiment,
     run_subsample_experiment,
 )
 from topo_opt.filtrations import VietorisRips
@@ -69,6 +70,19 @@ def test_subsample_supports(tmp_path):
         manifest["support.vanilla_subsample"]
     )
     assert int(manifest["support.distributed"]) > 10
+
+
+def test_sphere_experiment_writes_its_cloud_diagram_and_manifest(tmp_path):
+    manifest = run_sphere_experiment(tmp_path / "a", n=60, s=10, seed=0)
+    assert sorted(manifest) == ["h2_points", "loss", "n", "s"]
+    assert (manifest["n"], manifest["s"]) == ("60", "10")
+    # this subsample of the sphere keeps a 2-cycle, which the loss rewards
+    assert int(manifest["h2_points"]) >= 1 and float(manifest["loss"]) < 0.0
+    assert (tmp_path / "a" / "cloud.csv").exists()
+    assert (tmp_path / "a" / "diagram.csv").exists()
+    run_sphere_experiment(tmp_path / "b", n=60, s=10, seed=0)
+    assert ((tmp_path / "a" / "manifest.txt").read_bytes()
+            == (tmp_path / "b" / "manifest.txt").read_bytes())
 
 
 def test_cli_run_circle(tmp_path):

@@ -306,6 +306,22 @@ def test_rips_simplex_without_a_witness_raises(rng, family):
     assert set(family.simplex_gradient(X, (0, 1, 2))) >= {1, 2}
 
 
+def test_weighted_rips_edge_where_a_vertex_term_wins_follows_that_weight():
+    """With weight f(x) = ||x||^2, the edge {0, 1} below enters at
+    2 f(x_1) = 24.5, above ||x_0 - x_1|| + f(x_0) + f(x_1) = 21.75: its
+    gradient is twice the weight gradient of point 1, 4 x_1."""
+    weights = FunctionWeights(lambda X: (X * X).sum(axis=1), lambda X, i: {i: 2 * X[i]})
+    X = np.array([[3.0, 0.0], [3.5, 0.0], [0.0, 1.0]])
+    family = WeightedRips(3, 2, weights)
+    assert family.filtration(X).value((0, 1)) == 24.5
+    for s in ((0, 1), (0, 1, 2)):
+        g = family.simplex_gradient(X, s)
+        assert list(g) == [1]
+        np.testing.assert_allclose(g[1], 4 * X[1])
+        np.testing.assert_allclose(fd_simplex_value(family, X, s), [[0, 0], 4 * X[1], [0, 0]],
+                                   atol=1e-6)
+
+
 @pytest.mark.parametrize("n", [3, 6])
 def test_lower_star_rejects_values_of_another_size(n):
     family = LowerStar(build_complex([[0, 1, 2], [1, 2, 3]]))
@@ -379,6 +395,67 @@ def test_lower_star_gradient_is_witness_indicator():
     # tie -> smallest vertex id wins
     g_tie = fam.simplex_gradient(np.array([2.0, 2.0]), (0, 1))
     assert g_tie == {0: 1.0}
+
+
+def lower_star_families():
+    """A lower-star family and its height twin on one complex: heights
+    along theta = (1, 0) are the positions' first coordinates."""
+    cx = build_complex([[0, 1, 2], [1, 2, 3]])
+    return LowerStar(cx), HeightFiltration(cx, np.zeros((4, 2)))
+
+
+def height_witness(height, f, simplex):
+    height.positions[:, 0] = f
+    return height.witness(np.array([1.0, 0.0]), simplex)
+
+
+@pytest.mark.parametrize("f,simplex,want", [
+    ([1.0, np.nan, 0.5, 0.2], (0, 1), 0),  # a NaN never wins
+    ([np.nan, 1.0, 0.5, 0.2], (0, 1, 2), 1),
+    ([0.5, 0.2, np.nan, 0.5], (1, 2, 3), 3),
+    ([-0.0, 0.0, 0.0, -0.0], (0, 1), 0),  # signed zeros tie: the first wins
+    ([0.0, -0.0, 1.0, 1.0], (0, 1), 0),
+    ([1.0, 2.0, 2.0, 2.0], (1, 2, 3), 1),  # ties: the smallest vertex id
+    ([-np.inf, -np.inf, 0.0, 0.0], (0, 1), 0),
+    ([np.nan, -np.inf, 0.0, 0.0], (0, 1), 1),
+    ([0.0, np.inf, np.inf, 0.0], (0, 1, 2), 1),
+])
+def test_lower_star_witness_is_the_first_largest_non_nan_vertex(f, simplex, want):
+    lower, height = lower_star_families()
+    assert lower.witness(np.array(f), simplex) == want
+    assert lower.simplex_gradient(np.array(f), simplex) == {want: 1.0}
+    assert height_witness(height, f, simplex) == want
+
+
+def test_lower_star_simplex_of_nan_vertices_has_no_witness():
+    lower, height = lower_star_families()
+    f = [np.nan, np.nan, 0.5, 0.2]
+    with pytest.raises(ValueError, match=r"LowerStar: simplex \(0, 1\) has no witness vertex"):
+        lower.witness(np.array(f), (0, 1))
+    with pytest.raises(ValueError,
+                       match=r"HeightFiltration: simplex \(0, 1\) has no witness vertex"):
+        height_witness(height, f, (0, 1))
+    assert lower.witness(np.array(f), (0, 1, 2)) == 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, -np.inf, np.inf]),
+                min_size=4, max_size=4))
+def test_lower_star_gradients_on_non_nan_values_are_max_then_min(f):
+    """On values without NaN the witness is the smallest vertex id among
+    the maximizers, and the height family agrees: with heights along
+    theta = (1, 0) and vertex v at height f[v] and ordinate v, the gradient
+    (I - theta theta^T) x_w at a finite witness is (0, w)."""
+    lower, height = lower_star_families()
+    f = np.array(f)
+    height.positions[:] = np.column_stack([f, np.arange(4.0)])
+    for s in lower.complex.simplices:
+        best = max(f[v] for v in s)
+        want = min(v for v in s if f[v] == best)
+        assert lower.simplex_gradient(f, s) == {want: 1.0}
+        assert height.witness(np.array([1.0, 0.0]), s) == want
+        if np.isfinite(best):
+            assert height.simplex_gradient(np.array([1.0, 0.0]), s) == {0: 0.0, 1: want}
 
 
 def lower_star_by_loop(cx, f):

@@ -1,5 +1,7 @@
 """Diagram losses: closed-form values, gradients vs finite differences,
 and the chain rule through filtration families."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from topo_opt.losses import (
     EmptyDiagramDistanceLoss,
     LinearVectorizationLoss,
     SimplificationLoss,
+    SingletonLoss,
     TotalPersistenceLoss,
     compose_gradient,
     distance_to_target,
@@ -19,6 +22,7 @@ from topo_opt.losses import (
 )
 from topo_opt.metrics import fg_distance
 from topo_opt.reduction import build_diagram
+from topo_opt.schemes import big_step_gradient, vanilla_gradient
 
 
 def fd_loss_grad(fn, points, h=1e-6):
@@ -106,6 +110,17 @@ def test_linear_vectorization_unit_bump():
     assert feats[0] == pytest.approx(1.0)
     assert feats[1] == pytest.approx(0.0, abs=1e-12)
     np.testing.assert_allclose(jac[0, 0], [0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.5, float("nan"), float("inf")])
+def test_linear_vectorization_rejects_a_bandwidth_that_is_not_finite_and_positive(bandwidth):
+    # a zero bandwidth would give an all-NaN gradient
+    grid = np.array([[0.0, 1.0]])
+    match = r"linear vectorization needs a finite bandwidth > 0, got "
+    with pytest.raises(ValueError, match=match):
+        linear_vectorization([(0.0, 1.0)], grid, bandwidth)
+    with pytest.raises(ValueError, match=match):
+        LinearVectorizationLoss(0, grid, bandwidth, [1.0])
 
 
 def test_linear_vectorization_fd(rng):
@@ -245,3 +260,34 @@ def test_matched_partners_row_aligned(rng):
     value, grad, _ = distance_to_target(pts, target)
     assert value == 0.5 * dist**2
     np.testing.assert_array_equal(grad, pts - partners)
+
+
+@pytest.mark.parametrize("loss", [
+    DistanceToTargetLoss(1, [[0.1, 0.9]]),
+    DistanceToTargetLoss(0, [[0.0, 0.3], [0.0, 0.05]]),
+    SingletonLoss(0, 1, [0.0, 0.5]),
+    SingletonLoss(1, 0, [0.2, 1.5]),
+], ids=["target_h1", "target_h0", "singleton_h0", "singleton_h1"])
+def test_singleton_terms_are_the_diagram_rows_and_evaluate_gradients(loss):
+    """Each term's simplices are its row of ``dgm.pairs``, and its partials
+    are that row of the gradient ``evaluate`` returns; big-step runs on
+    those terms."""
+    X = np.array([[1.0, 0.0], [0.0, 1.05], [-1.1, 0.0], [0.0, -0.95], [0.7, 0.7], [1.5, 1.4]])
+    fam = VietorisRips(n_points=len(X), max_dim=2)
+    dgm = build_diagram(fam.filtration(X), drop_zero_tol=1e-12)
+    dim = loss.dims[0]
+    _, grads = loss.evaluate(dgm)
+    terms = loss.terms(dgm)
+    assert terms
+    for t in terms:
+        assert t.dim == dim
+        assert (t.birth_simplex, t.death_simplex) == dgm.pairs[dim][t.row]
+        np.testing.assert_array_equal(t.partials, grads[dim][t.row])
+    rows = [t.row for t in terms]
+    nonzero = np.flatnonzero(np.abs(grads[dim]).sum(axis=1))
+    assert set(nonzero) <= set(rows) and len(rows) == len(set(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a target may be clipped at a face value
+        value, g, _ = big_step_gradient(fam, X, loss, push_scale=0.1)
+    assert value == vanilla_gradient(fam, X, loss)[0]
+    assert g.shape == X.shape and np.isfinite(g).all() and np.abs(g).max() > 0

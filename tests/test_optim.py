@@ -19,6 +19,7 @@ from topo_opt.optim import (
     read_trace,
     write_trace,
 )
+from topo_opt.schemes import continuation_step
 
 
 def circle_cloud(n=10, noise=0.0, seed=0):
@@ -249,6 +250,26 @@ def test_box_regularizer_confines_points():
         fam, X, TotalPersistenceLoss(dims=(0,)), cfg, regularizer=BoxRegularizer(2.0)
     )
     assert np.abs(theta).max() < np.abs(X).max()
+
+
+def test_continuation_step_with_a_regularizer_moves_by_both():
+    """Continuation replaces theta by its update J^+ v; a regularizer's
+    gradient, taken at theta, is subtracted from that update at the step
+    size, and its value and gradient join the recorded loss and norm."""
+    X = circle_cloud(6, noise=0.1, seed=1) * 2.5
+    fam = VietorisRips(n_points=6, max_dim=1)
+    targets = {0: np.array([[0.0, 0.2], [0.0, 0.4]])}
+    reg = BoxRegularizer(2.0)
+    loss = TotalPersistenceLoss(dims=(0,))
+    cfg = DescentConfig(method="continuation", steps=1, lr=0.05, continuation_targets=targets)
+    theta, trace = descend(fam, X, loss, cfg, regularizer=reg)
+    rv, rg = reg.value_and_grad(X)
+    assert rv > 0 and np.abs(rg).max() > 0
+    moved, dgm = continuation_step(fam, X, targets, gamma=0.05)
+    np.testing.assert_allclose(theta, moved - 0.05 * rg, rtol=0, atol=1e-15)
+    first = trace.records[0]
+    assert first.loss == pytest.approx(loss.evaluate(dgm)[0] + rv)
+    assert first.grad_norm == pytest.approx(np.linalg.norm((X - moved) / 0.05 + rg))
 
 
 def test_continuation_method_requires_targets():

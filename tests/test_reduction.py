@@ -13,7 +13,6 @@ from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import LowerStar, VietorisRips
 from topo_opt.reduction import (
     _elder_merges,
-    _reduce_columns,
     betti_numbers,
     build_diagram,
     persistence_pairs,
@@ -390,8 +389,14 @@ def assert_reduced_columns_match_a_full_reduction(dec):
         for q in range(n):
             want = {mat.index(r) for r in (cofaces if mat.flip else faces)[q]}
             assert set(rows_of(mat.raw(mat.index(q)))) == want, (mat.flip, q)
-        full = [0] * n
-        pivot = _reduce_columns(map(mat.raw, range(n)), full, {})
+        full, pivot = [], {}
+        for j in range(n):  # a plain left-to-right reduction, the reference
+            col = mat.raw(j)
+            while col and col.bit_length() - 1 in pivot:
+                col ^= full[pivot[col.bit_length() - 1]]
+            if col:
+                pivot[col.bit_length() - 1] = j
+            full.append(col)
         assert pivot == mat.pivot
         for c in reversed(range(n)):
             assert mat.reduce_prefix(mat.raw(c), c, {}) == full[c], (mat.flip, c)

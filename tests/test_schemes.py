@@ -92,6 +92,36 @@ def test_sample_strata_distinct_signatures(rng):
         assert np.linalg.norm(p - X) <= 0.5 + 1e-12
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
+def test_sample_strata_rejects_a_radius_it_cannot_use(rng, eps):
+    # a NaN radius would return an all-NaN cloud, a negative one the
+    # mirrored ball, and an infinite one fail later in the SVD of the
+    # min-norm point
+    X = rng.normal(size=(5, 2))
+    fam = VietorisRips(n_points=5, max_dim=1)
+    with pytest.raises(ValueError, match=r"sample_strata needs a radius 0 < eps < inf, got eps="):
+        sample_strata(fam, X, eps=eps, m=3, rng=rng)
+    with pytest.raises(ValueError, match="eps="):
+        goldstein_check(fam, X, TotalPersistenceLoss(dims=(0,)), eps=eps, m=3)
+
+
+@pytest.mark.parametrize("m", [-1, 2.0, 1.5, "3"])
+def test_sample_strata_rejects_a_count_it_cannot_use(rng, m):
+    X = rng.normal(size=(5, 2))
+    fam = VietorisRips(n_points=5, max_dim=1)
+    with pytest.raises(ValueError, match=r"sample_strata needs an integer count m >= 0, got m="):
+        sample_strata(fam, X, eps=0.5, m=m, rng=rng)
+    with pytest.raises(ValueError, match="m="):
+        goldstein_check(fam, X, TotalPersistenceLoss(dims=(0,)), eps=0.5, m=m)
+
+
+def test_sample_strata_with_no_count_returns_theta_alone(rng):
+    X = rng.normal(size=(5, 2))
+    pts = sample_strata(VietorisRips(n_points=5, max_dim=1), X, eps=0.5, m=np.int64(0), rng=rng)
+    assert len(pts) == 1
+    np.testing.assert_array_equal(pts[0], X)
+
+
 def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
     """Sampling strata compares total orders only: nothing on the way
     classifies a tie."""
@@ -160,7 +190,7 @@ def test_stratified_gradient_rejects_non_finite_gradient():
 @pytest.mark.parametrize("name,value", [
     ("eps", 0.0), ("eps", -1e-2), ("beta", 0.0), ("beta", 1.0), ("beta", 1.5),
     ("C", 0.0), ("C", -1.0), ("shrink", 0.0), ("shrink", 1.0), ("eta", 0.0),
-    ("eps", float("nan")),
+    ("eps", float("nan")), ("eps", float("inf")), ("m", -1), ("m", 2.5),
 ])
 def test_stratified_config_rejects_out_of_range(name, value):
     # beta = 1 would make the eps-shrink bound zero (a false stationarity)
@@ -438,6 +468,25 @@ def test_big_step_tiny_push_equals_vanilla(rng):
     v1, g1, _ = big_step_gradient(fam, X, loss, push_scale=1e-9)
     assert v1 == pytest.approx(v0)
     np.testing.assert_allclose(g1, g0, atol=1e-12)
+
+
+@pytest.mark.parametrize("death_only", [False, True])
+def test_big_step_without_a_push_is_the_vanilla_gradient(monkeypatch, death_only):
+    """At push_scale = 0 every target is the point itself, so each simplex
+    keeps its own partial and no moving set is walked; with death_only the
+    birth partials are zero and are skipped."""
+    def refuse(*args):
+        raise AssertionError("a moving set was walked")
+
+    monkeypatch.setattr(topo_opt.schemes, "moving_set", refuse)
+    X = gen_circle(12, outlier=True, seed=0)
+    fam = VietorisRips(len(X), max_dim=2)
+    loss = TotalPersistenceLoss(dims=(1,), death_only=death_only)
+    v0, g0, dgm = vanilla_gradient(fam, X, loss)
+    v1, g1, _ = big_step_gradient(fam, X, loss, push_scale=0.0)
+    assert len(dgm.ordinary(1)) and np.abs(g0).max() > 0
+    assert v1 == v0
+    np.testing.assert_allclose(g1, g0, rtol=0, atol=1e-12)
 
 
 def test_big_step_decreases_loss(rng):
