@@ -28,16 +28,21 @@ held whole:
   earliest coface, when the simplex is that coface's latest face) are found
   with numpy and seed the pivots; only the other columns are reduced.
 
-Both paths hand their pairing to ``_pairing``, which reads it block by
-block into per-dimension arrays of complex positions (a
-``PersistencePairing``); its simplex lists are built on first read, and
-``build_diagram`` reads the filtration values at those positions.
+Both paths refuse a NaN filtration value, which the order puts last, and
+hand their pairing to ``_pairing``, which reads the births block by block
+into per-dimension arrays of complex positions (a ``PersistencePairing``).
+The unpaired simplices are listed only on first read of ``essential``, in
+filtration order off the pairing's order and partner array, and
+``build_diagram`` reads the filtration values at them only on first read of
+the diagram's ``essential``: the losses read ordinary points, and at the
+paper's n = 100 + 1 the top dimension alone has 161,700 unpaired triangles.
+The simplex lists are built on first read too.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from operator import itemgetter
 
@@ -57,14 +62,30 @@ from .complexes import (
 class PersistencePairing:
     """Simplex-level pairing, held as positions in ``complex`` per homology
     dimension: births[p][k] is paired with deaths[p][k], the pairs in birth
-    order, and essential[p] holds the unpaired (essential) births in
-    filtration order.  The simplex lists ``pairs`` and ``unpaired`` are built
-    on first read."""
+    order.  ``order`` lists the complex positions in filtration order, and
+    ``partner`` maps a position to the one paired with it, -1 when unpaired.
+    essential[p], the unpaired (essential) p-simplices in filtration order,
+    is built from those two on first read, and so are the simplex lists
+    ``pairs`` and ``unpaired``."""
 
     complex: SimplicialComplex
     births: dict[int, np.ndarray]
     deaths: dict[int, np.ndarray]
-    essential: dict[int, np.ndarray]
+    order: np.ndarray
+    partner: np.ndarray
+
+    @cached_property
+    def essential(self) -> dict[int, np.ndarray]:
+        """The unpaired positions, split by block; dimensions come in order
+        of their first unpaired simplex.  The order already lists them in
+        filtration order, so nothing is sorted."""
+        unpaired = self.order[self.partner[self.order] < 0]
+        found, first = {}, {}
+        for p, (start, ids) in enumerate(self.complex.blocks()):
+            at = (unpaired >= start) & (unpaired < start + len(ids))
+            if at.any():
+                found[p], first[p] = unpaired[at], at.argmax()
+        return {p: found[p] for p in sorted(found, key=first.get)}
 
     @cached_property
     def pairs(self) -> dict[int, list[tuple[Simplex, Simplex]]]:
@@ -76,22 +97,37 @@ class PersistencePairing:
     def unpaired(self) -> dict[int, list[Simplex]]:
         return {p: list(_simplices_at(self.complex, us, p)) for p, us in self.essential.items()}
 
+    def _unpaired_counts(self) -> list[int]:
+        """The number of unpaired simplices of each dimension, counted off
+        ``partner`` block by block without listing them."""
+        return [int(np.count_nonzero(self.partner[start:start + len(ids)] < 0))
+                for start, ids in self.complex.blocks()]
+
     def dims(self):
-        return sorted(set(self.births) | set(self.essential))
+        return sorted(set(self.births) | {p for p, k in enumerate(self._unpaired_counts()) if k})
 
 
-@dataclass
 class PersistenceDiagram:
     """Per-dimension ordinary points (m,2) and essential births (k,).
 
     ``pairs``/``essential_simplices`` stay row-aligned with the arrays so a
-    diagram gradient can be pushed back through the filtration map.
+    diagram gradient can be pushed back through the filtration map.  A
+    diagram made by ``build_diagram`` reads the filtration values at its
+    pairing's essentials on first read of ``essential``.
     """
 
-    points: dict[int, np.ndarray]
-    essential: dict[int, np.ndarray]
-    pairs: dict[int, list[tuple[Simplex, Simplex]]] = field(default_factory=dict)
-    pairing: PersistencePairing | None = None
+    def __init__(self, points: dict[int, np.ndarray], essential: dict[int, np.ndarray] | None,
+                 pairs: dict[int, list[tuple[Simplex, Simplex]]] | None = None,
+                 pairing: PersistencePairing | None = None):
+        self.points = points
+        self.pairs = {} if pairs is None else pairs
+        self.pairing = pairing
+        if essential is not None:
+            self.essential = essential
+
+    @cached_property
+    def essential(self) -> dict[int, np.ndarray]:
+        return {p: self._values[us] for p, us in self.pairing.essential.items()}
 
     @property
     def essential_simplices(self) -> dict[int, list[Simplex]]:
@@ -237,6 +273,7 @@ class ReducedDecomposition:
     def __init__(self, filtration: Filtration):
         cx = self.complex = filtration.complex
         self.order = _order_indices(filtration)
+        _refuse_nan(filtration, self.order)
         self.rank = np.argsort(self.order)
         self.values: np.ndarray = filtration.values[self.order]
         self.cofaces = partial(_cofaces, cx, self.order, self.rank)
@@ -323,28 +360,35 @@ def _pairing(cx: SimplicialComplex, order: np.ndarray, anti: np.ndarray,
              partner: np.ndarray):
     """The PersistencePairing of ``partner`` (complex index -> paired index,
     -1 when unpaired) under the filtration order ``order``, whose inverse
-    ``anti`` maps a complex index to n-1-position.  It is read block by
-    block: the births of dimension p are the p-simplices whose partner lies
-    in the next block, the unpaired ones those with none, each listed in
-    filtration order; dimensions come in order of their first birth, or
-    first unpaired simplex."""
+    ``anti`` maps a complex index to n-1-position.  The births are read
+    block by block below the top dimension, whose simplices have no coface:
+    the births of dimension p are the p-simplices whose partner lies in the
+    next block, listed in filtration order; dimensions come in order of
+    their first birth.  The unpaired simplices are left to the pairing's
+    first read of ``essential``."""
     births: dict[int, np.ndarray] = {}
-    essential: dict[int, np.ndarray] = {}
     last = len(order) - 1
-    for p, (start, ids) in enumerate(cx.blocks()):
+    for p, (start, ids) in enumerate(cx.blocks()[:-1]):
         end = start + len(ids)
-        mate = partner[start:end]
-        for part, at in ((births, mate >= end), (essential, mate < 0)):
-            found = anti[start + np.flatnonzero(at)]
-            if len(found):
-                # n-1 minus the sorted anti-positions: positions, descending
-                found.sort()
-                np.subtract(last, found, out=found)
-                part[p] = order[found[::-1]]
-    births, essential = (dict(sorted(part.items(), key=lambda kv: -anti[kv[1][0]]))
-                         for part in (births, essential))
+        found = anti[start + np.flatnonzero(partner[start:end] >= end)]
+        if len(found):
+            # n-1 minus the sorted anti-positions: positions, descending
+            found.sort()
+            np.subtract(last, found, out=found)
+            births[p] = order[found[::-1]]
+    births = dict(sorted(births.items(), key=lambda kv: -anti[kv[1][0]]))
     deaths = {p: partner[bs] for p, bs in births.items()}
-    return PersistencePairing(cx, births, deaths, essential)
+    return PersistencePairing(cx, births, deaths, order, partner)
+
+
+def _refuse_nan(filtration: Filtration, order: np.ndarray) -> None:
+    """Raise ValueError naming the last simplex of ``order`` if its value is
+    NaN.  The stable argsort of the values and the families' dense ranks
+    both put NaN last, so this one read finds any NaN value."""
+    if len(order) and np.isnan(filtration.values[order[-1]]):
+        s = filtration.complex.simplex(int(order[-1]))
+        raise ValueError(f"the filtration value of simplex {s} is NaN; a diagram needs "
+                         f"every value to be a number")
 
 
 def _elder_merges(vertex_pos: list[int], edges) -> list[tuple[int, int]]:
@@ -415,6 +459,7 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     cx = filtration.complex
     n = len(cx)
     order = _order_indices(filtration)
+    _refuse_nan(filtration, order)
     anti = np.empty(n, dtype=np.intp)
     anti[order] = np.arange(n - 1, -1, -1)
     partner = np.full(n, -1, dtype=np.intp)
@@ -475,7 +520,9 @@ def build_diagram(
     f(death)) plus essential births at (f(birth), inf).
 
     Points with persistence below ``drop_zero_tol`` are pruned (their pair
-    lists stay aligned with the surviving rows).
+    lists stay aligned with the surviving rows).  The essential births are
+    read off the filtration values on first read of the diagram's
+    ``essential``.
     """
     if pairing is None:
         pairing = persistence_pairs(filtration)
@@ -490,17 +537,14 @@ def build_diagram(
             bs, ds, bv, dv = bs[keep], ds[keep], bv[keep], dv[keep]
         points[dim] = np.column_stack([bv, dv])
         pairs[dim] = list(zip(_simplices_at(cx, bs, dim), _simplices_at(cx, ds, dim + 1)))
-    essential = {dim: values[us] for dim, us in pairing.essential.items()}
-    return PersistenceDiagram(points, essential, pairs, pairing)
+    dgm = PersistenceDiagram(points, None, pairs, pairing)
+    dgm._values = values  # read at the essentials on first read
+    return dgm
 
 
 def betti_numbers(filtration: Filtration) -> dict[int, int]:
     """Ranks of the homology of the full complex (counts of essential classes)."""
-    pairing = persistence_pairs(filtration)
-    out = {d: 0 for d in range(filtration.complex.dim + 1)}
-    for dim, us in pairing.essential.items():
-        out[dim] = len(us)
-    return out
+    return dict(enumerate(persistence_pairs(filtration)._unpaired_counts()))
 
 
 # ---------------------------------------------------------------------------

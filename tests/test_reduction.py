@@ -1,6 +1,8 @@
 """Reduction invariants, the pairing oracle, the paired matrices behind the
 moving sets, diagram IO."""
+import re
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +12,16 @@ from hypothesis import strategies as st
 from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import Filtration, boundary, complete_complex
 from topo_opt.experiments import gen_circle
-from topo_opt.filtrations import LowerStar, VietorisRips
+from topo_opt.filtrations import (
+    ConstantWeights,
+    HeightFiltration,
+    LowerStar,
+    VietorisRips,
+    WeightedRips,
+)
+from topo_opt.losses import TotalPersistenceLoss
 from topo_opt.reduction import (
+    PersistenceDiagram,
     _elder_merges,
     betti_numbers,
     build_diagram,
@@ -270,7 +280,6 @@ class RefusingIndex(dict):
 
 
 def test_pairing_and_diagram_never_look_up_the_complex_index(rng):
-    from topo_opt.losses import TotalPersistenceLoss
     from topo_opt.schemes import vanilla_gradient
 
     X = rng.normal(size=(9, 2))
@@ -292,7 +301,6 @@ def test_pairing_and_diagram_never_look_up_the_complex_index(rng):
 
 def test_vanilla_step_and_set_up_never_build_the_simplex_list_or_index(rng):
     from topo_opt.complexes import total_order
-    from topo_opt.losses import TotalPersistenceLoss
     from topo_opt.schemes import vanilla_gradient
 
     X = rng.normal(size=(33, 2))
@@ -318,6 +326,127 @@ def test_reduce_never_builds_the_simplex_list_or_index(rng):
     assert not {"simplices", "index"} & vars(fam.complex).keys()
     assert "simplices" not in vars(dec)
     assert dec.pairing().pairs == persistence_pairs(fam.filtration(X)).pairs
+
+
+def test_vanilla_and_big_step_never_build_the_essentials(rng):
+    from topo_opt.experiments import circle_loss
+    from topo_opt.schemes import big_step_gradient, vanilla_gradient
+
+    X = rng.normal(size=(33, 2))
+    loss = circle_loss()[0]
+    for step in (vanilla_gradient, partial(big_step_gradient, push_scale=0.128)):
+        dgm = step(VietorisRips(len(X), 2), X, loss)[2]
+        assert "essential" not in vars(dgm.pairing)
+        assert "essential" not in vars(dgm)
+        assert dgm.points[1].size
+
+
+def eager_essential(pairing):
+    """The unpaired positions listed eagerly, the reference for the lazy
+    list: per block, the positions with no partner, sorted by filtration
+    position; dimensions in order of their first unpaired simplex."""
+    rank = np.empty_like(pairing.order)
+    rank[pairing.order] = np.arange(len(pairing.order))
+    out = {}
+    for p, (start, ids) in enumerate(pairing.complex.blocks()):
+        us = start + np.flatnonzero(pairing.partner[start:start + len(ids)] < 0)
+        if len(us):
+            out[p] = us[np.argsort(rank[us])]
+    return dict(sorted(out.items(), key=lambda kv: rank[kv[1][0]]))
+
+
+def assert_lazy_essentials_are_the_eager_ones(f):
+    for pairing in (persistence_pairs(f), reduce(f).pairing()):
+        counts, dims = pairing._unpaired_counts(), pairing.dims()
+        assert "essential" not in vars(pairing)
+        want = eager_essential(pairing)
+        got = pairing.essential
+        assert list(got) == list(want)
+        for p in want:
+            assert got[p].dtype == want[p].dtype
+            assert got[p].tobytes() == want[p].tobytes()
+        assert pairing._unpaired_counts() == counts == [
+            len(want.get(p, ())) for p in range(f.complex.dim + 1)]
+        assert pairing.dims() == dims == sorted(set(pairing.births) | set(want))
+        dgm = build_diagram(f, pairing)
+        assert list(dgm.essential) == list(want)
+        for p in want:
+            assert dgm.essential[p].tobytes() == f.values[want[p]].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 9).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)),
+    st.sampled_from([1, 2, 3]))
+def test_lazy_essentials_equal_the_eager_ones_on_tied_vr(coords, max_dim):
+    X = np.round(np.reshape(coords, (-1, 2)), 1)
+    assert_lazy_essentials_are_the_eager_ones(VietorisRips(len(X), max_dim).filtration(X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.booleans())
+def test_lazy_essentials_equal_the_eager_ones_on_random_filtrations(seed, n_vertices, zero):
+    f = random_filtration(np.random.default_rng(seed), n_vertices=n_vertices)
+    if zero:
+        f = Filtration(f.complex, np.zeros(len(f)))
+    assert_lazy_essentials_are_the_eager_ones(f)
+
+
+def test_essential_dimensions_come_in_order_of_their_first_unpaired_simplex():
+    # a hollow tetrahedron at 0 leaves a triangle unpaired before the
+    # triangle 4-5-6's boundary, at 1, leaves an edge unpaired
+    cx = build_complex([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5), (5, 6), (4, 6), (3, 4)])
+    f = LowerStar(cx).filtration(np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0]))
+    assert_lazy_essentials_are_the_eager_ones(f)
+    assert list(persistence_pairs(f).essential) == list(reduce(f).pairing().essential) == [0, 2, 1]
+    assert persistence_pairs(f).dims() == [0, 1, 2]
+    assert betti_numbers(f) == {0: 1, 1: 1, 2: 1}
+
+
+def test_lazy_diagram_writes_the_eager_bytes(tmp_path):
+    X = gen_circle(32, outlier=True, seed=0)
+    f = VietorisRips(len(X), 2).filtration(X)
+    lazy = build_diagram(f, drop_zero_tol=1e-12)
+    eager = PersistenceDiagram(lazy.points, {p: f.values[us] for p, us in
+                                             eager_essential(lazy.pairing).items()})
+    write_diagram(tmp_path / "lazy.csv", lazy)
+    write_diagram(tmp_path / "eager.csv", eager)
+    assert (tmp_path / "lazy.csv").read_bytes() == (tmp_path / "eager.csv").read_bytes()
+
+
+def nan_cases():
+    X = np.random.default_rng(0).normal(size=(6, 2))
+    X[2, 1] = np.nan
+    cx = triangulated_torus()
+    f = np.arange(9.0)
+    f[4] = np.nan
+    P = np.random.default_rng(0).normal(size=(9, 3))
+    P[4, 0] = np.nan  # a NaN direction is refused by the family itself
+    return {
+        "vietoris_rips": (VietorisRips(6, 2), X),
+        "weighted_rips": (WeightedRips(6, 2, ConstantWeights(np.array([0, 0, np.nan, 0, 0, 0.]))),
+                          np.nan_to_num(X)),
+        "lower_star": (LowerStar(cx), f),
+        "height": (HeightFiltration(cx, P), np.array([1.0, 0.0, 0.0])),
+    }
+
+
+@pytest.mark.parametrize("name", list(nan_cases()))
+def test_a_nan_filtration_value_fails_in_the_pairing(name):
+    from topo_opt.schemes import vanilla_gradient
+
+    family, theta = nan_cases()[name]
+    with np.errstate(invalid="ignore"):
+        f = family.filtration(theta)
+    last = int(np.argsort(f.values, kind="stable")[-1])
+    assert np.isnan(f.values[last])
+    message = f"simplex {f.complex.simplex(last)} is NaN"
+    with np.errstate(invalid="ignore"):
+        for run in (lambda: build_diagram(f), lambda: reduce(f),
+                    lambda: vanilla_gradient(family, theta, TotalPersistenceLoss(dims=(0, 1)))):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                run()
+    assert not {"simplices", "index"} & vars(f.complex).keys()
 
 
 def test_pairing_invariant_under_monotone_rescaling(rng):
