@@ -15,11 +15,15 @@ from the complex's facet and coboundary index arrays (a face column with
 held whole:
 
 - Homology (``reduce``): R = D * V over F2 with R reduced (distinct lowest
-  ones), in positions of the total order.  A ``ReducedDecomposition`` is
-  not changed after its reduction.  It serves the moving sets through two
+  ones), in positions of the total order, every column reduced at once.
+  It is the reference the pairing and the moving sets are checked
+  against.  A ``ReducedDecomposition`` serves the moving sets through two
   ``_PairedMatrix`` forms, D (whose reduced columns are R) and D's
   anti-transpose (reduced on demand), each with a basis built on first
-  read; only the fast moving sets read a basis.
+  read; only the fast moving sets read a basis.  Big-step's decomposition
+  is seeded from the pairing of ``persistence_pairs`` instead, with every
+  pivot known and no column reduced: a moving set reduces a death column
+  of D only when it first needs one, to R's column there.
 - Pairing only (``persistence_pairs``, and through it ``build_diagram``
   and ``betti_numbers``): dimension 0 by union-find under the elder rule,
   with no vertex cocolumn, then cohomology with clearing, which reduces the
@@ -267,22 +271,56 @@ class ReducedDecomposition:
     """Reduced decomposition of a filtration's boundary matrix, in positions
     of its total order (``order`` maps one to its complex index, ``rank``
     back): ``faces[q]`` and ``cofaces(q)`` are the face and coface positions
-    of position q, read off the complex's index arrays.  Not changed after
-    its reduction; ``simplices``, ``D`` and ``anti_D`` are built on first read."""
+    of position q, read off the complex's index arrays.  ``pivot`` maps each
+    birth position to its death position.  ``is_death`` and ``partner`` read
+    it and its inverse, never R, so a query reduces nothing: R[j] is nonzero
+    exactly when j is a death position, its lowest one j's birth.
+
+    ``reduce`` reduces every column of R at once.  The form big-step uses
+    is seeded from the pairing of ``persistence_pairs`` instead
+    (``_from_pairing``): its R starts as None everywhere, and a column is
+    reduced only when a moving set first needs it, to the column of the
+    full reduction.  Otherwise neither form changes; ``simplices``, ``D``
+    and ``anti_D`` are built on first read."""
 
     def __init__(self, filtration: Filtration):
+        order = _order_indices(filtration)
+        _refuse_nan(filtration, order)
+        self._lay_out(filtration, order)
+        self.pivot = _reduce_columns(partial(_bitset, self.faces), self.R, {})
+
+    @classmethod
+    def _from_pairing(cls, filtration: Filtration, pairing: PersistencePairing):
+        """The decomposition of ``filtration`` with nothing reduced, its
+        order and pivots read off ``pairing``, that of ``persistence_pairs``
+        on the same filtration, which has already refused a NaN value.  Its
+        pivots are all known, so ``_reduce`` only ever reaches death columns
+        and reduces each like the full left-to-right reduction."""
+        dec = cls.__new__(cls)
+        dec._lay_out(filtration, pairing.order)
+        dec.pivot = {}
+        for p, births in pairing.births.items():
+            dec.pivot.update(zip(dec.rank[births].tolist(),
+                                 dec.rank[pairing.deaths[p]].tolist()))
+        return dec
+
+    def _lay_out(self, filtration: Filtration, order: np.ndarray) -> None:
+        """The order, its values and the face lists, with R all None."""
         cx = self.complex = filtration.complex
-        self.order = _order_indices(filtration)
-        _refuse_nan(filtration, self.order)
-        self.rank = np.argsort(self.order)
-        self.values: np.ndarray = filtration.values[self.order]
-        self.cofaces = partial(_cofaces, cx, self.order, self.rank)
+        self.order = order
+        self.rank = np.argsort(order)
+        self.values: np.ndarray = filtration.values[order]
+        self.cofaces = partial(_cofaces, cx, order, self.rank)
         by_index = [[]] * cx.n_vertices()
         for p in range(1, cx.dim + 1):
             by_index += self.rank[cx.facets(p)].tolist()
-        self.faces: list[list[int]] = list(map(by_index.__getitem__, self.order.tolist()))
-        self.R: list[int] = [None] * len(self.faces)
-        self.pivot = _reduce_columns(partial(_bitset, self.faces), self.R, {})
+        self.faces: list[list[int]] = list(map(by_index.__getitem__, order.tolist()))
+        self.R: list[int | None] = [None] * len(self.faces)
+
+    @cached_property
+    def _low(self) -> dict[int, int]:
+        """Death position -> birth position, the inverse of ``pivot``."""
+        return {j: low for low, j in self.pivot.items()}
 
     @cached_property
     def simplices(self) -> list[Simplex]:
@@ -311,13 +349,11 @@ class ReducedDecomposition:
         return float(self.values[self.position(s)])
 
     def is_death(self, i: int) -> bool:
-        return bool(self.R[i])
+        return i in self._low
 
     def partner(self, i: int) -> int | None:
         """Position paired with position i, or None if essential."""
-        if self.R[i]:
-            return _lowest(self.R[i])
-        return self.pivot.get(i)
+        return self._low[i] if i in self._low else self.pivot.get(i)
 
     def pairing(self) -> PersistencePairing:
         partner = np.full(len(self.order), -1, dtype=np.intp)

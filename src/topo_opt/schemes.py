@@ -15,7 +15,13 @@ import numpy as np
 
 from .complexes import NotMonotoneError, Simplex, total_order
 from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
-from .reduction import ReducedDecomposition, _bits, _lowest, build_diagram, reduce
+from .reduction import (
+    ReducedDecomposition,
+    _bits,
+    _lowest,
+    build_diagram,
+    persistence_pairs,
+)
 
 
 def vanilla_gradient(family, theta, loss: DiagramLoss):
@@ -353,12 +359,19 @@ def big_step_gradient(family, theta, loss: DiagramLoss, push_scale: float = 1.0)
     of the birth (death) simplex toward its target value, found by the
     naive walk, which needs no basis.  A simplex pushed by several terms
     keeps the one with the largest |current - target| gap.
+
+    The diagram and the moving sets share one pairing, that of
+    ``persistence_pairs``; no full homology reduction is run.  The
+    decomposition the moving sets read is seeded from that pairing, and
+    reduces a column of D only when a walk first needs it: only death
+    columns are, a few dozen of the 6,017 at 33 points.
     Returns (value, gradient, diagram).
     """
     theta = np.asarray(theta, dtype=float)
     filt = family.filtration(theta)
-    dec = reduce(filt)
-    dgm = build_diagram(filt, dec.pairing(), drop_zero_tol=PRUNE_TOL)
+    pairing = persistence_pairs(filt)
+    dec = ReducedDecomposition._from_pairing(filt, pairing)
+    dgm = build_diagram(filt, pairing, drop_zero_tol=PRUNE_TOL)
     value, _ = loss.evaluate(dgm)
     terms = loss.terms(dgm, push_scale)
     assigned: dict[Simplex, tuple[float, float]] = {}

@@ -433,7 +433,7 @@ def nan_cases():
 
 @pytest.mark.parametrize("name", list(nan_cases()))
 def test_a_nan_filtration_value_fails_in_the_pairing(name):
-    from topo_opt.schemes import vanilla_gradient
+    from topo_opt.schemes import big_step_gradient, vanilla_gradient
 
     family, theta = nan_cases()[name]
     with np.errstate(invalid="ignore"):
@@ -441,11 +441,16 @@ def test_a_nan_filtration_value_fails_in_the_pairing(name):
     last = int(np.argsort(f.values, kind="stable")[-1])
     assert np.isnan(f.values[last])
     message = f"simplex {f.complex.simplex(last)} is NaN"
+    loss = TotalPersistenceLoss(dims=(0, 1))
     with np.errstate(invalid="ignore"):
         for run in (lambda: build_diagram(f), lambda: reduce(f),
-                    lambda: vanilla_gradient(family, theta, TotalPersistenceLoss(dims=(0, 1)))):
+                    lambda: vanilla_gradient(family, theta, loss)):
             with pytest.raises(ValueError, match=re.escape(message)):
                 run()
+        # big-step refuses it in its pairing, before any decomposition
+        with pytest.raises(ValueError, match=re.escape(message)) as raised:
+            big_step_gradient(family, theta, loss)
+    assert "persistence_pairs" in {entry.name for entry in raised.traceback}
     assert not {"simplices", "index"} & vars(f.complex).keys()
 
 

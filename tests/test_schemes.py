@@ -364,11 +364,22 @@ def check_against_oracle(dec, rng):
     return grown
 
 
+def seeded(f):
+    """The decomposition big-step reads: seeded from the pairing of
+    ``persistence_pairs``, its columns of D reduced on demand."""
+    return ReducedDecomposition._from_pairing(f, persistence_pairs(f))
+
+
+# both forms of the decomposition: reduced eagerly, and seeded from a pairing
+DECOMPOSITIONS = (reduce, seeded)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.integers(4, 7))
 def test_moving_set_naive_matches_repairing_oracle(seed, n_vertices):
-    rng = np.random.default_rng(seed)
-    check_against_oracle(reduce(random_filtration(rng, n_vertices=n_vertices)), rng)
+    f = random_filtration(np.random.default_rng(seed), n_vertices=n_vertices)
+    for decompose in DECOMPOSITIONS:
+        check_against_oracle(decompose(f), np.random.default_rng(seed))
 
 
 @settings(max_examples=40, deadline=None)
@@ -377,17 +388,59 @@ def test_moving_set_naive_matches_repairing_oracle_on_tied_clouds(seed, n_points
     rng = np.random.default_rng(seed)
     X = np.round(rng.uniform(0.0, 1.0, size=(n_points, 2)), 1)
     filt = VietorisRips(n_points=n_points, max_dim=2).filtration(X)
-    check_against_oracle(reduce(filt), rng)
+    for decompose in DECOMPOSITIONS:
+        check_against_oracle(decompose(filt), np.random.default_rng(seed))
 
 
 def test_oracle_comparison_sees_every_case_grow():
-    """The oracle tests are not vacuous: sets with more than one member
-    occur for births and deaths pushed both ways."""
-    rng = np.random.default_rng(5)
-    grown = set()
-    for _ in range(10):
-        grown |= check_against_oracle(reduce(random_filtration(rng)), rng)
-    assert grown == {(d, u) for d in (False, True) for u in (False, True)}
+    """The oracle tests are not vacuous: on both decompositions, sets with
+    more than one member occur for births and deaths pushed both ways."""
+    for decompose in DECOMPOSITIONS:
+        rng = np.random.default_rng(5)
+        grown = set()
+        for _ in range(10):
+            grown |= check_against_oracle(decompose(random_filtration(rng)), rng)
+        assert grown == {(d, u) for d in (False, True) for u in (False, True)}, decompose
+
+
+def assert_seeded_queries_match_the_full_reduction(f):
+    """The seeded decomposition answers partner and is_death like ``reduce``
+    without reducing a column; after a naive moving set of every finite
+    simplex, pushed both ways, each column it filled is a death column and
+    equals the eager R there."""
+    eager, dec = reduce(f), seeded(f)
+    n = len(dec.order)
+    assert dec.order.tobytes() == eager.order.tobytes()
+    assert dec.pivot == eager.pivot
+    for q in range(n):
+        assert dec.partner(q) == eager.partner(q), q
+        assert dec.is_death(q) == eager.is_death(q) == bool(eager.R[q]), q
+    assert dec.R == [None] * n
+    for q in finite_positions(dec):
+        for t in (float(dec.values[q] - 0.5), float(dec.values[q] + 0.5)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                moving_set_naive(dec, dec.simplices[q], t)
+    for q, col in enumerate(dec.R):
+        if col is not None:
+            assert dec.is_death(q) and col == eager.R[q], q
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 7), st.booleans())
+def test_seeded_decomposition_answers_like_the_full_reduction(seed, n_vertices, zero):
+    f = random_filtration(np.random.default_rng(seed), n_vertices=n_vertices)
+    if zero:
+        f = Filtration(f.complex, np.zeros(len(f.complex)))
+    assert_seeded_queries_match_the_full_reduction(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.floats(-1.0, 1.0), min_size=2 * n, max_size=2 * n)))
+def test_seeded_decomposition_answers_like_the_full_reduction_on_tied_vr(coords):
+    X = np.round(np.reshape(coords, (-1, 2)), 1)
+    assert_seeded_queries_match_the_full_reduction(VietorisRips(len(X), 2).filtration(X))
 
 
 def query_every_finite_simplex(dec):
@@ -419,16 +472,21 @@ def test_moving_set_caches_keep_no_cycle(rng):
 
 def test_moving_set_queries_leave_the_decomposition_unchanged(rng):
     # D's reduced columns are R's own list, so a query that wrote a reduced
-    # column there would change R
+    # column there would change R; a seeded decomposition may only fill in
+    # the columns it left None, with the values of the full reduction
     for _ in range(10):
-        dec = reduce(random_filtration(rng, n_vertices=6))
-        R = list(dec.R)
-        pivot, simplices, values = dict(dec.pivot), list(dec.simplices), dec.values.copy()
-        query_every_finite_simplex(dec)
-        assert dec.R == R
-        assert dec.pivot == pivot
-        assert dec.simplices == simplices
-        assert dec.values.tobytes() == values.tobytes()
+        f = random_filtration(rng, n_vertices=6)
+        eager = reduce(f)
+        for decompose in DECOMPOSITIONS:
+            dec = decompose(f)
+            R = list(dec.R)
+            pivot, simplices, values = dict(dec.pivot), list(dec.simplices), dec.values.copy()
+            query_every_finite_simplex(dec)
+            assert [r if r is not None else new for r, new in zip(R, dec.R)] == dec.R
+            assert all(new in (None, full) for new, full in zip(dec.R, eager.R))
+            assert dec.pivot == pivot
+            assert dec.simplices == simplices
+            assert dec.values.tobytes() == values.tobytes()
 
 
 def test_naive_big_step_on_the_circle_builds_no_basis(monkeypatch):
@@ -452,6 +510,34 @@ def test_naive_big_step_on_the_circle_builds_no_basis(monkeypatch):
         big_step_gradient(VietorisRips(len(X), max_dim=2), X, loss,
                           push_scale=0.128)
     assert sizes and max(sizes) > 1
+
+
+def test_big_step_on_the_circle_runs_no_full_reduction(monkeypatch):
+    """One big step pairs by cohomology and reduces only the death columns
+    of D that its moving sets meet: no eager ``reduce``, and the filled
+    columns of its decomposition are death columns, far fewer than the
+    6,017 simplices."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("big-step ran the full homology reduction")
+
+    made = []
+    from_pairing = ReducedDecomposition._from_pairing.__func__
+
+    def kept(cls, *args):
+        made.append(from_pairing(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(ReducedDecomposition, "__init__", refuse)
+    monkeypatch.setattr(ReducedDecomposition, "_from_pairing", classmethod(kept))
+    X = gen_circle(32, outlier=True, seed=0)
+    loss, _ = circle_loss()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        big_step_gradient(VietorisRips(len(X), max_dim=2), X, loss, push_scale=0.128)
+    [dec] = made
+    filled = [q for q, col in enumerate(dec.R) if col is not None]
+    assert filled and all(dec.is_death(q) for q in filled)
+    assert len(filled) <= len(dec.pivot) < len(dec.R)
 
 
 # ---------------------------------------------------------------------------
