@@ -8,7 +8,8 @@ simplex; the tuple list and the position lookup are built from the blocks
 only when read.  A complete complex fills its blocks directly, with no
 tuples.  A filtration attaches a real value to every simplex, monotone
 along the face relation; it may carry the integer rank of each value too,
-which the total order sorts in place of the values.
+which its total order, computed once on first read of ``order`` and read
+by every consumer, sorts in place of the values.
 The comma-separated table format that clouds, diagrams, traces and
 matchings are written in lives here too.
 """
@@ -309,6 +310,10 @@ class Filtration:
     equal values getting equal ranks, in an unsigned integer array.  It is
     order-isomorphic to the values, so the total order sorts it in their
     place; numpy radix-sorts keys of 16 bits or fewer.
+
+    ``order`` is computed on first read and shared by every consumer, so a
+    filtration's values and ranks must not change once it is built: the
+    families hand over arrays they do not keep.
     """
 
     def __init__(self, complex: SimplicialComplex, values, check: bool = True,
@@ -338,6 +343,15 @@ class Filtration:
                 s = cx.simplex(start + r)
                 f = cx.simplex(int(faces[r, k]))
                 raise NotMonotoneError(f"filtration not monotone: f({f}) > f({s})")
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The total order, read-only: a stable argsort of the ranks, or of
+        the values if the family gave none.  It breaks ties in the complex's
+        (dimension, lexicographic) order and puts NaN last."""
+        order = np.argsort(self.values if self.rank is None else self.rank, kind="stable")
+        order.flags.writeable = False
+        return order
 
     def value(self, s: Simplex) -> float:
         return float(self.values[self.complex.index[tuple(s)]])
@@ -381,46 +395,32 @@ class OrderingSignature:
 
 
 def total_order(filtration: Filtration) -> OrderingSignature:
-    """Deterministic total order: by (value, dimension, lexicographic vertices).
+    """Deterministic total order: by (value, dimension, lexicographic
+    vertices), the filtration's own ``order``, flagged ``tied`` when it has
+    a free tie.
 
     Faces always precede cofaces: a face has value <= its coface and
-    strictly smaller dimension, so the key is a valid refinement.  The
-    complex is sorted by (dimension, lexicographic vertices), so a stable
-    sort of the values breaks their ties in exactly that order.
+    strictly smaller dimension, so the key is a valid refinement.
     """
-    order = _order_indices(filtration)
-    tied = next(_free_ties(filtration, order), None) is not None
-    return OrderingSignature(order, tied)
+    tied = next(_free_ties(filtration), None) is not None
+    return OrderingSignature(filtration.order, tied)
 
 
-def _order_indices(filtration: Filtration) -> np.ndarray:
-    """The order of ``total_order`` as an index array, without its
-    signature and its tie walk: a stable argsort of the ranks where the
-    family gave them, of the values otherwise."""
-    return np.argsort(_sort_key(filtration), kind="stable")
-
-
-def _sort_key(filtration: Filtration) -> np.ndarray:
-    return filtration.values if filtration.rank is None else filtration.rank
-
-
-def _free_ties(filtration: Filtration, order) -> Iterator[tuple[int, int]]:
-    """Simplex indices (a, b) adjacent in the total order ``order`` whose
+def _free_ties(filtration: Filtration) -> Iterator[tuple[int, int]]:
+    """Simplex indices (a, b) adjacent in the filtration's order whose
     values are equal and neither of which is a face of the other, lazily and
-    in order: the candidate stratum boundaries.  The order is scanned for
-    ties 4096 adjacent pairs at a time, from the last pair checked, so a
-    caller that stops at the first free tie reads little more than it needs."""
+    in order: the candidate stratum boundaries.  Equal values have equal
+    ranks (NaNs share one but are not equal), so the values tell the ties.
+    The order is scanned 4096 adjacent pairs at a time, so a caller that
+    stops at the first free tie reads little more than it needs."""
     simplex = filtration.complex.simplex
-    values, key = filtration.values, _sort_key(filtration)
-    order = np.asarray(order)
+    values, order = filtration.values, filtration.order
     chunk = 4096
     for lo in range(0, len(order) - 1, chunk):
         at = order[lo:lo + chunk + 1]
-        ok = key[at]
-        for k in np.flatnonzero(ok[1:] == ok[:-1]):
+        v = values[at]
+        for k in np.flatnonzero(v[1:] == v[:-1]):
             a, b = int(at[k]), int(at[k + 1])
-            if not values[a] == values[b]:
-                continue  # NaNs share a rank but are not equal
             sa, sb = simplex(a), simplex(b)
             if not (is_face(sa, sb) or is_face(sb, sa)):
                 yield a, b

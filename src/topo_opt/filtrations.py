@@ -28,7 +28,6 @@ from .complexes import (
     _free_ties,
     complete_complex,
     read_table,
-    total_order,
     write_table,
 )
 
@@ -410,7 +409,7 @@ class RawValues:
         self.complex = complex
 
     def filtration(self, values: np.ndarray) -> Filtration:
-        return Filtration(self.complex, np.asarray(values, dtype=float))
+        return Filtration(self.complex, np.array(values, dtype=float))
 
     def simplex_gradient(self, values: np.ndarray, simplex: Simplex) -> dict:
         return {self.complex.index[tuple(simplex)]: 1.0}
@@ -426,9 +425,6 @@ def strata_signature(family, theta) -> OrderingSignature:
     lockstep and never change the order.
     """
     filt = family.filtration(theta)
-    sig = total_order(filt)
-    if not sig.tied:
-        return sig
     grads: dict[int, dict] = {}
 
     def grad(q):
@@ -440,9 +436,8 @@ def strata_signature(family, theta) -> OrderingSignature:
         return ga.keys() == gb.keys() and all(
             np.array_equal(ga[k], gb[k]) or np.allclose(ga[k], gb[k]) for k in ga)
 
-    tied = any(not same_gradient(grad(a), grad(b))
-               for a, b in _free_ties(filt, sig.indices()))
-    return OrderingSignature(sig.indices(), tied)
+    tied = any(not same_gradient(grad(a), grad(b)) for a, b in _free_ties(filt))
+    return OrderingSignature(filt.order, tied)
 
 
 def move_values(

@@ -32,8 +32,10 @@ held whole:
   earliest coface, when the simplex is that coface's latest face) are found
   with numpy and seed the pivots; only the other columns are reduced.
 
-Both paths refuse a NaN filtration value, which the order puts last, and
-hand their pairing to ``_pairing``, which reads the births block by block
+Both paths read the filtration's own ``order`` (computed once per
+filtration, so a pairing, a decomposition and the filtration share one
+array), refuse a NaN filtration value, which the order puts last, and hand
+their pairing to ``_pairing``, which reads the births block by block
 into per-dimension arrays of complex positions (a ``PersistencePairing``).
 The unpaired simplices are listed only on first read of ``essential``, in
 filtration order off the pairing's order and partner array, and
@@ -56,7 +58,6 @@ from .complexes import (
     Filtration,
     Simplex,
     SimplicialComplex,
-    _order_indices,
     read_table,
     write_table,
 )
@@ -284,30 +285,30 @@ class ReducedDecomposition:
     and ``anti_D`` are built on first read."""
 
     def __init__(self, filtration: Filtration):
-        order = _order_indices(filtration)
-        _refuse_nan(filtration, order)
-        self._lay_out(filtration, order)
+        _refuse_nan(filtration)
+        self._lay_out(filtration)
         self.pivot = _reduce_columns(partial(_bitset, self.faces), self.R, {})
 
     @classmethod
     def _from_pairing(cls, filtration: Filtration, pairing: PersistencePairing):
         """The decomposition of ``filtration`` with nothing reduced, its
-        order and pivots read off ``pairing``, that of ``persistence_pairs``
-        on the same filtration, which has already refused a NaN value.  Its
-        pivots are all known, so ``_reduce`` only ever reaches death columns
-        and reduces each like the full left-to-right reduction."""
+        pivots read off ``pairing``, that of ``persistence_pairs`` on the
+        same filtration, which has read the same order and already refused
+        a NaN value.  Its pivots are all known, so ``_reduce`` only ever
+        reaches death columns and reduces each like the full left-to-right
+        reduction."""
         dec = cls.__new__(cls)
-        dec._lay_out(filtration, pairing.order)
+        dec._lay_out(filtration)
         dec.pivot = {}
         for p, births in pairing.births.items():
             dec.pivot.update(zip(dec.rank[births].tolist(),
                                  dec.rank[pairing.deaths[p]].tolist()))
         return dec
 
-    def _lay_out(self, filtration: Filtration, order: np.ndarray) -> None:
-        """The order, its values and the face lists, with R all None."""
+    def _lay_out(self, filtration: Filtration) -> None:
+        """The filtration's order, its values and the face lists, R all None."""
         cx = self.complex = filtration.complex
-        self.order = order
+        order = self.order = filtration.order
         self.rank = np.argsort(order)
         self.values: np.ndarray = filtration.values[order]
         self.cofaces = partial(_cofaces, cx, order, self.rank)
@@ -344,9 +345,6 @@ class ReducedDecomposition:
 
     def position(self, s: Simplex) -> int:
         return int(self.rank[self.complex.index[tuple(s)]])
-
-    def value_of(self, s: Simplex) -> float:
-        return float(self.values[self.position(s)])
 
     def is_death(self, i: int) -> bool:
         return i in self._low
@@ -417,10 +415,11 @@ def _pairing(cx: SimplicialComplex, order: np.ndarray, anti: np.ndarray,
     return PersistencePairing(cx, births, deaths, order, partner)
 
 
-def _refuse_nan(filtration: Filtration, order: np.ndarray) -> None:
-    """Raise ValueError naming the last simplex of ``order`` if its value is
-    NaN.  The stable argsort of the values and the families' dense ranks
-    both put NaN last, so this one read finds any NaN value."""
+def _refuse_nan(filtration: Filtration) -> None:
+    """Raise ValueError naming the last simplex of the filtration's order if
+    its value is NaN.  The stable argsort of the values and the families'
+    dense ranks both put NaN last, so this one read finds any NaN value."""
+    order = filtration.order
     if len(order) and np.isnan(filtration.values[order[-1]]):
         s = filtration.complex.simplex(int(order[-1]))
         raise ValueError(f"the filtration value of simplex {s} is NaN; a diagram needs "
@@ -494,8 +493,8 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     """
     cx = filtration.complex
     n = len(cx)
-    order = _order_indices(filtration)
-    _refuse_nan(filtration, order)
+    order = filtration.order
+    _refuse_nan(filtration)
     anti = np.empty(n, dtype=np.intp)
     anti[order] = np.arange(n - 1, -1, -1)
     partner = np.full(n, -1, dtype=np.intp)

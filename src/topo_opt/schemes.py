@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import NotMonotoneError, Simplex, total_order
+from .complexes import NotMonotoneError, Simplex
 from .losses import PRUNE_TOL, DiagramLoss, chain_rule, compose_gradient, matched_partners
 from .reduction import (
     ReducedDecomposition,
@@ -51,13 +51,15 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
     orders from the eps-ball around theta (theta's own stratum is always
     included first).  Rejection sampling is capped at 20*m draws; a draw
     whose values break the face order (possible for raw values) is
-    rejected.  Needs 0 < eps < inf and an integer m >= 0 (ValueError)."""
+    rejected.  Strata are told apart by the bytes of each filtration's
+    ``order``, which an ``OrderingSignature`` compares; no tie is walked.
+    Needs 0 < eps < inf and an integer m >= 0 (ValueError)."""
     if not 0 < eps < np.inf:
         raise ValueError(f"sample_strata needs a radius 0 < eps < inf, got eps={eps!r}")
     if not _is_count(m):
         raise ValueError(f"sample_strata needs an integer count m >= 0, got m={m!r}")
     theta = np.asarray(theta, dtype=float)
-    seen = {total_order(family.filtration(theta))}
+    seen = {family.filtration(theta).order.tobytes()}
     out = [theta.copy()]
     draws = 0
     dim = theta.size
@@ -70,11 +72,11 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
         r = eps * rng.uniform() ** (1.0 / dim)
         cand = theta + u * (r / nrm)
         try:
-            sig = total_order(family.filtration(cand))
+            key = family.filtration(cand).order.tobytes()
         except NotMonotoneError:
             continue
-        if sig not in seen:
-            seen.add(sig)
+        if key not in seen:
+            seen.add(key)
             out.append(cand)
     return out
 

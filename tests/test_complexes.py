@@ -12,7 +12,6 @@ from topo_opt.complexes import (
     NotMonotoneError,
     OrderingSignature,
     _free_ties,
-    _order_indices,
     boundary,
     is_face,
     read_complex,
@@ -343,7 +342,6 @@ def every_free_tie(f, order):
 def test_free_ties_are_every_free_tie_in_order(rng, make):
     # the tie-heavy orders run past the first 4096 adjacent pairs scanned
     f = make(rng)
-    order = _order_indices(f)
-    want = every_free_tie(f, order)
-    assert list(_free_ties(f, order)) == want
+    want = every_free_tie(f, f.order)
+    assert list(_free_ties(f)) == want
     assert total_order(f).tied == bool(want)

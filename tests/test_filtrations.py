@@ -11,7 +11,6 @@ from topo_opt import build_complex, triangulated_torus
 from topo_opt.complexes import (
     Filtration,
     _free_ties,
-    _order_indices,
     boundary,
     is_face,
     total_order,
@@ -657,14 +656,14 @@ def assert_keys_match_the_values(f):
     the values does, and tie exactly where the values tie."""
     assert f.rank is not None and f.rank.dtype in (np.uint16, np.uint32)
     plain = Filtration(f.complex, f.values, check=False)
-    order = _order_indices(f)
+    order = f.order
     assert np.array_equal(order, np.argsort(f.values, kind="stable"))
-    assert np.array_equal(order, _order_indices(plain))
+    assert np.array_equal(order, plain.order)
     r, v = f.rank[order], f.values[order]
     assert (r[1:] >= r[:-1]).all()
     nan = np.isnan(v)
     assert np.array_equal(r[1:] == r[:-1], (v[1:] == v[:-1]) | (nan[1:] & nan[:-1]))
-    assert list(_free_ties(f, order)) == list(_free_ties(plain, order))
+    assert list(_free_ties(f)) == list(_free_ties(plain))
     a, b = total_order(f), total_order(plain)
     assert a == b and a.tied == b.tied
 
@@ -738,4 +737,4 @@ def test_raw_values_carry_no_rank():
     cx = triangulated_torus()
     f = RawValues(cx).filtration(LowerStar(cx).filtration(np.arange(9.0)).values)
     assert f.rank is None
-    assert np.array_equal(_order_indices(f), np.argsort(f.values, kind="stable"))
+    assert np.array_equal(f.order, np.argsort(f.values, kind="stable"))

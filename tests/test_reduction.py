@@ -10,18 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topo_opt import build_complex, triangulated_torus
-from topo_opt.complexes import Filtration, boundary, complete_complex
+from topo_opt.complexes import Filtration, boundary, complete_complex, total_order
 from topo_opt.experiments import gen_circle
 from topo_opt.filtrations import (
     ConstantWeights,
     HeightFiltration,
     LowerStar,
+    RawValues,
     VietorisRips,
     WeightedRips,
 )
 from topo_opt.losses import TotalPersistenceLoss
 from topo_opt.reduction import (
     PersistenceDiagram,
+    ReducedDecomposition,
     _elder_merges,
     betti_numbers,
     build_diagram,
@@ -483,6 +485,32 @@ def test_torus_betti():
 def test_decomposition_keeps_its_filtration_complex(rng):
     f = random_filtration(rng)
     assert reduce(f).complex is f.complex
+
+
+def test_every_consumer_reads_the_filtration_order(rng):
+    """The order is computed once per filtration: the pairing, both forms of
+    the decomposition and the signature read that one read-only array."""
+    cx = complete_complex(7, 2)
+    lower_star = LowerStar(cx).filtration(np.round(rng.uniform(size=7), 1))
+    for f in (VietorisRips(7, 2).filtration(np.round(rng.normal(size=(7, 2)), 1)),
+              lower_star, RawValues(cx).filtration(lower_star.values)):
+        pairing = persistence_pairs(f)
+        assert pairing.order is f.order
+        assert reduce(f).order is f.order
+        assert ReducedDecomposition._from_pairing(f, pairing).order is f.order
+        assert np.array_equal(total_order(f).indices(), f.order)
+        with pytest.raises(ValueError, match="read-only"):
+            f.order[0] = f.order[1]
+
+
+def test_raw_values_keep_no_view_of_the_parameter():
+    cx = complete_complex(6, 2)
+    theta = LowerStar(cx).filtration(np.array([0.0, 0.4, 0.2, 0.9, 0.6, 0.3])).values.copy()
+    f = RawValues(cx).filtration(theta)
+    values, order, pairs = f.values.copy(), f.order.copy(), persistence_pairs(f).pairs
+    theta[0] += 1.0
+    assert np.array_equal(f.values, values) and np.array_equal(f.order, order)
+    assert persistence_pairs(f).pairs == pairs
 
 
 def test_anti_D_basis_inverts_antitransposed_boundary(rng):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topo_opt.complexes
 import topo_opt.filtrations
 import topo_opt.schemes
 from topo_opt import complete_complex
@@ -123,13 +124,18 @@ def test_sample_strata_with_no_count_returns_theta_alone(rng):
 
 
 def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
-    """Sampling strata compares total orders only: nothing on the way
-    classifies a tie."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("strata_signature called")
+    """Sampling strata compares the filtrations' orders only: nothing on
+    the way classifies a tie or walks for one."""
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return refused
 
     for module in (topo_opt.filtrations, topo_opt.schemes):
-        monkeypatch.setattr(module, "strata_signature", refuse, raising=False)
+        monkeypatch.setattr(module, "strata_signature", refuse("strata_signature"),
+                            raising=False)
+    for module in (topo_opt.complexes, topo_opt.schemes):
+        monkeypatch.setattr(module, "total_order", refuse("total_order"), raising=False)
     X = np.round(rng.normal(size=(6, 2)), 1)
     fam = VietorisRips(n_points=6, max_dim=1)
     loss = TotalPersistenceLoss(dims=(0,))
@@ -321,7 +327,7 @@ def oracle_moving_set(dec, tau, t):
     sigma = partner_of_tau(seq)
     if sigma is None:
         raise ValueError("essential")
-    v0 = dec.value_of(tau)
+    v0 = float(dec.values[dec.position(tau)])
     t = _clip_target(dec, tau, t)
     up = t > v0
     lo = hi = seq.index(tau)
@@ -331,7 +337,7 @@ def oracle_moving_set(dec, tau, t):
         if not 0 <= q < len(seq):
             break
         s = seq[q]
-        v = dec.value_of(s)
+        v = float(dec.values[dec.position(s)])
         if not (v0 < v < t if up else t < v < v0):
             break
         block = seq[lo:hi + 1]
