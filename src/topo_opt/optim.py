@@ -126,7 +126,9 @@ class _FirstValue:
 
 def _stratified_step(gradient, family, theta, loss, cfg, lr, rng):
     # the stratified gradients take the vanilla gradient at theta first, so
-    # the first loss value is the loss at theta
+    # the first loss value is the loss at theta.  They also take their own
+    # step, eps/||g||, so lr (and with it --lr and --decay) is ignored: every
+    # cell of a stratified grid is the same trajectory
     first = _FirstValue(loss)
     g, alpha = gradient(family, theta, first, cfg.stratified, rng)
     # alpha = 0 is approximate stationarity: the sampled-strata min-norm
@@ -237,7 +239,10 @@ def descend(family, theta0, loss: DiagramLoss, cfg: DescentConfig,
 def goldstein_check(family, theta, loss: DiagramLoss, eps: float, m: int,
                     eta: float = 1e-6, rng: np.random.Generator | None = None):
     """Approximate Goldstein stationarity test: min-norm point of sampled
-    strata gradients within the eps-ball.  Returns (is_stationary, norm)."""
+    strata gradients within the eps-ball.  Returns (is_stationary, norm).
+    Needs a finite tolerance eta >= 0 (ValueError)."""
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"goldstein_check needs a finite tolerance eta >= 0, got eta={eta!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     nrm = float(_sampled_min_norm(family, theta, loss, eps, m, rng)[3])

@@ -29,8 +29,14 @@ def vanilla_gradient(family, theta, loss: DiagramLoss):
 
     Essential points are stripped and near-zero-persistence points pruned
     before the loss is evaluated.  Returns (value, gradient, diagram).
+    Builds theta's filtration and hands it to ``_gradient``, the path the
+    stratified gradients share with their already built samples.
     """
-    filt = family.filtration(theta)
+    return _gradient(family, theta, family.filtration(theta), loss)
+
+
+def _gradient(family, theta, filt, loss: DiagramLoss):
+    """``vanilla_gradient`` at theta, read off filt = family.filtration(theta)."""
     dgm = build_diagram(filt, drop_zero_tol=PRUNE_TOL)
     value, grads = loss.evaluate(dgm)
     g = compose_gradient(family, theta, dgm, grads)
@@ -53,17 +59,22 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
     whose values break the face order (possible for raw values) is
     rejected.  Strata are told apart by the bytes of each filtration's
     ``order``, which an ``OrderingSignature`` compares; no tie is walked.
-    Needs 0 < eps < inf and an integer m >= 0 (ValueError)."""
+    Needs 0 < eps < inf and an integer m >= 0 (ValueError).
+
+    Returns a list of (point, filtration) pairs, theta's first: each sample
+    is a point plus the filtration whose order told its stratum apart, so a
+    gradient reads it without building it again.  Callers must not change
+    that filtration."""
     if not 0 < eps < np.inf:
         raise ValueError(f"sample_strata needs a radius 0 < eps < inf, got eps={eps!r}")
     if not _is_count(m):
         raise ValueError(f"sample_strata needs an integer count m >= 0, got m={m!r}")
     theta = np.asarray(theta, dtype=float)
-    seen = {family.filtration(theta).order.tobytes()}
-    out = [theta.copy()]
+    filt = family.filtration(theta)
+    strata = {filt.order.tobytes(): (theta.copy(), filt)}
     draws = 0
     dim = theta.size
-    while len(out) - 1 < m and draws < 20 * m:
+    while len(strata) - 1 < m and draws < 20 * m:
         draws += 1
         u = rng.standard_normal(theta.shape)
         nrm = np.linalg.norm(u)
@@ -72,13 +83,11 @@ def sample_strata(family, theta, eps: float, m: int, rng: np.random.Generator):
         r = eps * rng.uniform() ** (1.0 / dim)
         cand = theta + u * (r / nrm)
         try:
-            key = family.filtration(cand).order.tobytes()
+            filt = family.filtration(cand)
         except NotMonotoneError:
             continue
-        if key not in seen:
-            seen.add(key)
-            out.append(cand)
-    return out
+        strata.setdefault(filt.order.tobytes(), (cand, filt))
+    return list(strata.values())
 
 
 def _affine_minimizer(P: np.ndarray) -> np.ndarray:
@@ -150,8 +159,8 @@ class StratifiedConfig:
 
     def __post_init__(self):
         for name, ok in (("eps", 0 < self.eps < np.inf), ("m", _is_count(self.m)),
-                         ("beta", 0 < self.beta < 1), ("C", self.C > 0),
-                         ("shrink", 0 < self.shrink < 1), ("eta", self.eta > 0)):
+                         ("beta", 0 < self.beta < 1), ("C", 0 < self.C < np.inf),
+                         ("shrink", 0 < self.shrink < 1), ("eta", 0 < self.eta < np.inf)):
             if not ok:
                 raise ValueError(
                     f"StratifiedConfig.{name} out of range: {getattr(self, name)!r}")
@@ -160,11 +169,14 @@ class StratifiedConfig:
 def _sampled_min_norm(family, theta, loss: DiagramLoss, eps: float, m: int,
                       rng: np.random.Generator):
     """Sample strata in the eps-ball around theta, take the vanilla gradient
-    at every sampled point and their min-norm point.
+    at every sampled point and their min-norm point.  Each gradient reads
+    the filtration its sample carries, so a pass builds each sampled
+    point's filtration once.
 
     Returns (points, gradients, g, ||g||); a non-finite ||g|| is an error."""
-    pts = sample_strata(family, theta, eps, m, rng)
-    grads = [vanilla_gradient(family, p, loss)[1] for p in pts]
+    samples = sample_strata(family, theta, eps, m, rng)
+    pts = [p for p, _ in samples]
+    grads = [_gradient(family, p, filt, loss)[1] for p, filt in samples]
     g = min_norm_point(grads)
     nrm = np.linalg.norm(g)
     if not np.isfinite(nrm):

@@ -294,24 +294,24 @@ def test_trace_io_roundtrip(tmp_path):
 @pytest.mark.parametrize("method", ["stratified", "stratified_const"])
 def test_stratified_step_takes_one_vanilla_gradient_per_sampled_point(method, monkeypatch):
     # theta is the first sampled point, so its vanilla gradient also gives
-    # the step's loss value: no extra evaluation at theta
-    import topo_opt.optim
+    # the step's loss value: no extra evaluation at theta.  Each gradient
+    # evaluation is one build_diagram call.
     import topo_opt.schemes
 
     vanilla, sample = topo_opt.schemes.vanilla_gradient, topo_opt.schemes.sample_strata
+    diagram = topo_opt.schemes.build_diagram
     calls, points = [], []
 
-    def counted(*args):
-        calls.append(args[1])
-        return vanilla(*args)
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return diagram(*args, **kwargs)
 
     def sampled(*args):
-        pts = sample(*args)
-        points.append(len(pts))
-        return pts
+        samples = sample(*args)
+        points.append(len(samples))
+        return samples
 
-    for module in (topo_opt.schemes, topo_opt.optim):
-        monkeypatch.setattr(module, "vanilla_gradient", counted)
+    monkeypatch.setattr(topo_opt.schemes, "build_diagram", counted)
     monkeypatch.setattr(topo_opt.schemes, "sample_strata", sampled)
     X = circle_cloud(8, noise=0.05, seed=3)
     fam, loss = VietorisRips(n_points=8, max_dim=1), TotalPersistenceLoss(dims=(0,))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import topo_opt.complexes
 import topo_opt.filtrations
+import topo_opt.optim
 import topo_opt.schemes
 from topo_opt import complete_complex
 from topo_opt.complexes import Filtration
@@ -38,6 +39,7 @@ from topo_opt.schemes import (
     moving_set_naive,
     sample_strata,
     stratified_gradient,
+    stratified_gradient_const,
     vanilla_gradient,
 )
 from topo_opt.filtrations import strata_signature
@@ -85,12 +87,17 @@ def test_min_norm_wolfe_certificate(rng):
 def test_sample_strata_distinct_signatures(rng):
     X = rng.normal(size=(5, 2))
     fam = VietorisRips(n_points=5, max_dim=1)
-    pts = sample_strata(fam, X, eps=0.5, m=6, rng=rng)
+    samples = sample_strata(fam, X, eps=0.5, m=6, rng=rng)
+    pts = [p for p, _ in samples]
     np.testing.assert_array_equal(pts[0], X)
     sigs = {strata_signature(fam, p) for p in pts}
     assert len(sigs) == len(pts)
-    for p in pts:
+    for p, filt in samples:
         assert np.linalg.norm(p - X) <= 0.5 + 1e-12
+        # each sample carries the filtration of its own point, bit for bit
+        fresh = fam.filtration(p)
+        assert filt.values.tobytes() == fresh.values.tobytes()
+        assert filt.order.tobytes() == fresh.order.tobytes()
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.5, float("nan"), float("inf")])
@@ -118,9 +125,10 @@ def test_sample_strata_rejects_a_count_it_cannot_use(rng, m):
 
 def test_sample_strata_with_no_count_returns_theta_alone(rng):
     X = rng.normal(size=(5, 2))
-    pts = sample_strata(VietorisRips(n_points=5, max_dim=1), X, eps=0.5, m=np.int64(0), rng=rng)
-    assert len(pts) == 1
-    np.testing.assert_array_equal(pts[0], X)
+    samples = sample_strata(VietorisRips(n_points=5, max_dim=1), X, eps=0.5, m=np.int64(0),
+                            rng=rng)
+    assert len(samples) == 1
+    np.testing.assert_array_equal(samples[0][0], X)
 
 
 def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
@@ -144,6 +152,36 @@ def test_strata_are_told_apart_without_classifying_ties(rng, monkeypatch):
     goldstein_check(fam, X, loss, eps=0.5, m=3)
 
 
+def test_a_sampled_min_norm_pass_builds_each_point_once(rng, monkeypatch):
+    """Within one pass of ``_sampled_min_norm`` no parameter array reaches
+    ``family.filtration`` twice: each gradient reads the filtration that
+    ``sample_strata`` built to tell its stratum apart."""
+    X = rng.normal(size=(6, 2))
+    fam = VietorisRips(n_points=6, max_dim=1)
+    loss = TotalPersistenceLoss(dims=(0,))
+    build, sampled = fam.filtration, topo_opt.schemes._sampled_min_norm
+    built, passes = [], []
+
+    def counted(theta):
+        built.append(theta.tobytes())
+        return build(theta)
+
+    def one_pass(*args):
+        built.clear()
+        out = sampled(*args)
+        passes.append(len(built))
+        assert len(set(built)) == len(built), "a point's filtration was built twice in one pass"
+        return out
+
+    monkeypatch.setattr(fam, "filtration", counted)
+    for module in (topo_opt.schemes, topo_opt.optim):
+        monkeypatch.setattr(module, "_sampled_min_norm", one_pass)
+    stratified_gradient(fam, X, loss, StratifiedConfig(eps=0.5, m=3))
+    stratified_gradient_const(fam, X, loss, StratifiedConfig(eps=0.5, m=3))
+    goldstein_check(fam, X, loss, eps=0.5, m=3)
+    assert len(passes) >= 3 and min(passes) > 1
+
+
 @pytest.mark.parametrize("gap", [0.0, 0.1])
 def test_strata_sampling_on_raw_values_rejects_non_monotone_draws(gap):
     """Raw values close to a face/coface tie leave the filtration space for
@@ -157,9 +195,9 @@ def test_strata_sampling_on_raw_values_rejects_non_monotone_draws(gap):
     sizes = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        pts = sample_strata(fam, theta, eps=0.3, m=4, rng=rng)
-        sizes.append(len(pts))
-        for p in pts:
+        samples = sample_strata(fam, theta, eps=0.3, m=4, rng=rng)
+        sizes.append(len(samples))
+        for p, _ in samples:
             fam.filtration(p)  # every accepted point is monotone
         stratified_gradient(fam, theta, loss, StratifiedConfig(eps=0.3, m=4), rng)
         goldstein_check(fam, theta, loss, eps=0.3, m=4, rng=rng)
@@ -203,6 +241,26 @@ def test_stratified_config_rejects_out_of_range(name, value):
     # and shrink = 1 would never shrink eps (an endless loop)
     with pytest.raises(ValueError, match=rf"StratifiedConfig\.{name} "):
         StratifiedConfig(**{name: value})
+
+
+@pytest.mark.parametrize("where,name,value", [
+    ("goldstein_check", "eta", float("nan")), ("goldstein_check", "eta", -1.0),
+    ("goldstein_check", "eta", float("inf")),
+    ("StratifiedConfig", "C", float("inf")), ("StratifiedConfig", "eta", float("inf")),
+])
+def test_stationarity_tolerances_and_bounds_must_be_finite(where, name, value):
+    # C = inf makes the eps-shrink bound zero, so eps halves until it
+    # underflows; eta = inf calls every theta stationary, and a NaN or
+    # negative eta calls none
+    if where == "StratifiedConfig":
+        with pytest.raises(ValueError, match=rf"StratifiedConfig\.{name} "):
+            StratifiedConfig(**{name: value})
+        return
+    X = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 1.2], [-0.8, 0.6], [0.2, -0.9]])
+    fam = VietorisRips(n_points=5, max_dim=1)
+    with pytest.raises(ValueError,
+                       match=r"goldstein_check needs a finite tolerance eta >= 0, got eta="):
+        goldstein_check(fam, X, TotalPersistenceLoss(dims=(0,)), eps=0.5, m=3, eta=value)
 
 
 # ---------------------------------------------------------------------------
