@@ -9,8 +9,15 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
-EXPERIMENTS = ("circle", "subsample", "sphere_h2")
+# the options each experiment reads besides --experiment and --out
+READS = {
+    "circle": ("method", "steps", "lr", "decay", "seed", "n_points"),
+    "subsample": ("seed", "n_points"),
+    "sphere_h2": ("seed",),
+}
+EXPERIMENTS = tuple(READS)
 
 
 @click.group()
@@ -27,8 +34,10 @@ def main():
 @click.option("--seed", default=0, show_default=True, type=int)
 @click.option("--n-points", default=None, type=int, help="override the cloud size")
 @click.option("--out", required=True, type=click.Path(file_okay=False))
-def run(experiment, method, steps, lr, decay, seed, n_points, out):
-    """Run a benchmark experiment and write traces/diagrams/manifest."""
+@click.pass_context
+def run(ctx, experiment, method, steps, lr, decay, seed, n_points, out):
+    """Run a benchmark experiment and write traces/diagrams/manifest.  An
+    option the experiment does not read is refused, not ignored."""
     from .experiments import (
         ExperimentSpec,
         run_experiment,
@@ -37,6 +46,12 @@ def run(experiment, method, steps, lr, decay, seed, n_points, out):
     )
     from .optim import METHODS
 
+    for param in ctx.command.params:
+        if (param.name not in ("experiment", "out", *READS[experiment])
+                and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE):
+            click.echo(f"validation error: {param.opts[0]} is not read by "
+                       f"--experiment {experiment}", err=True)
+            sys.exit(2)
     if steps <= 0:
         raise click.UsageError("--steps must be positive")
     if method is not None and method not in METHODS:

@@ -311,9 +311,10 @@ class Filtration:
     order-isomorphic to the values, so the total order sorts it in their
     place; numpy radix-sorts keys of 16 bits or fewer.
 
-    ``order`` is computed on first read and shared by every consumer, so a
-    filtration's values and ranks must not change once it is built: the
-    families hand over arrays they do not keep.
+    ``order`` and its inverse ``inverse_order`` are each computed once, on
+    first read, and shared by every consumer, so a filtration's values and
+    ranks must not change once it is built: the families hand over arrays
+    they do not keep.
     """
 
     def __init__(self, complex: SimplicialComplex, values, check: bool = True,
@@ -352,6 +353,16 @@ class Filtration:
         order = np.argsort(self.values if self.rank is None else self.rank, kind="stable")
         order.flags.writeable = False
         return order
+
+    @cached_property
+    def inverse_order(self) -> np.ndarray:
+        """The position of every simplex in ``order``, read-only:
+        inverse_order[order] == arange(n).  One scatter on first read, shared
+        like ``order``, so no consumer inverts the order again."""
+        inverse = np.empty_like(self.order)
+        inverse[self.order] = np.arange(len(inverse))
+        inverse.flags.writeable = False
+        return inverse
 
     def value(self, s: Simplex) -> float:
         return float(self.values[self.complex.index[tuple(s)]])

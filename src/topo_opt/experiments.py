@@ -72,9 +72,7 @@ class ExperimentSpec:
     gammas: tuple[float, ...] = DEFAULT_GAMMAS
     steps: int = 20
     snapshot_steps: tuple[int, ...] = SNAPSHOT_STEPS
-    stratified: StratifiedConfig = field(default_factory=lambda: StratifiedConfig(
-        eps=1e-2, m=4, beta=0.5, C=10.0, shrink=0.5, eta=1e-8
-    ))
+    stratified: StratifiedConfig = field(default_factory=StratifiedConfig)
     continuation_target: tuple[float, float] = (0.0, 1.5)
     n_sub: int = 10
     subsample_size: int = 50

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _qnorm, diagonal_distance, fg_distance
+from .metrics import _qnorm, check_order, diagonal_distance, fg_distance
 from .reduction import PersistenceDiagram
 
 PRUNE_TOL = 1e-12
@@ -208,6 +208,7 @@ class DistanceToTargetLoss(DiagramLoss):
     def __init__(self, dim: int, target, q: float = 2.0):
         self.dims = (dim,)
         self.target = np.asarray(target, dtype=float).reshape(-1, 2)
+        check_order(q)
         self.q = q
 
     def evaluate(self, dgm):
@@ -257,6 +258,7 @@ class EmptyDiagramDistanceLoss(DiagramLoss):
 
     def __init__(self, dim: int = 1, q: float = 2.0, sign: float = -1.0):
         self.dims = (dim,)
+        check_order(q)
         self.q = q
         self.sign = sign
 

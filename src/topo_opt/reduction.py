@@ -32,17 +32,17 @@ held whole:
   earliest coface, when the simplex is that coface's latest face) are found
   with numpy and seed the pivots; only the other columns are reduced.
 
-Both paths read the filtration's own ``order`` (computed once per
-filtration, so a pairing, a decomposition and the filtration share one
-array), refuse a NaN filtration value, which the order puts last, and hand
-their pairing to ``_pairing``, which reads the births block by block
-into per-dimension arrays of complex positions (a ``PersistencePairing``).
-The unpaired simplices are listed only on first read of ``essential``, in
-filtration order off the pairing's order and partner array, and
-``build_diagram`` reads the filtration values at them only on first read of
-the diagram's ``essential``: the losses read ordinary points, and at the
-paper's n = 100 + 1 the top dimension alone has 161,700 unpaired triangles.
-The simplex lists are built on first read too.
+Both paths work in positions of the filtration's own ``order``, read
+through its ``inverse_order`` (each computed once per filtration and shared,
+so neither path inverts or sorts an order), refuse a NaN filtration value,
+which the order puts last, and hand their pairing to ``_pairing``, which
+reads the births block by block into per-dimension arrays of complex
+positions (a ``PersistencePairing``).  The unpaired simplices are listed
+only on first read of ``essential``, in filtration order off the pairing's
+order and partner array, and ``build_diagram`` reads the filtration values
+at them only on first read of the diagram's ``essential``: the losses read
+ordinary points, and at the paper's n = 100 + 1 the top dimension alone has
+161,700 unpaired triangles.  The simplex lists are built on first read too.
 """
 from __future__ import annotations
 
@@ -67,8 +67,9 @@ from .complexes import (
 class PersistencePairing:
     """Simplex-level pairing, held as positions in ``complex`` per homology
     dimension: births[p][k] is paired with deaths[p][k], the pairs in birth
-    order.  ``order`` lists the complex positions in filtration order, and
-    ``partner`` maps a position to the one paired with it, -1 when unpaired.
+    order.  ``order`` lists the complex positions in filtration order,
+    ``inverse_order`` maps one to its place there, and ``partner`` maps a
+    position to the one paired with it, -1 when unpaired.
     essential[p], the unpaired (essential) p-simplices in filtration order,
     is built from those two on first read, and so are the simplex lists
     ``pairs`` and ``unpaired``."""
@@ -77,6 +78,7 @@ class PersistencePairing:
     births: dict[int, np.ndarray]
     deaths: dict[int, np.ndarray]
     order: np.ndarray
+    inverse_order: np.ndarray
     partner: np.ndarray
 
     @cached_property
@@ -270,12 +272,12 @@ class _PairedMatrix:
 
 class ReducedDecomposition:
     """Reduced decomposition of a filtration's boundary matrix, in positions
-    of its total order (``order`` maps one to its complex index, ``rank``
-    back): ``faces[q]`` and ``cofaces(q)`` are the face and coface positions
-    of position q, read off the complex's index arrays.  ``pivot`` maps each
-    birth position to its death position.  ``is_death`` and ``partner`` read
-    it and its inverse, never R, so a query reduces nothing: R[j] is nonzero
-    exactly when j is a death position, its lowest one j's birth.
+    of its total order (``order`` maps one to its complex index,
+    ``inverse_order`` back): ``faces[q]`` and ``cofaces(q)`` are the face
+    and coface positions of position q, read off the complex's index arrays.
+    ``pivot`` maps each birth position to its death position; ``is_death``
+    and ``partner`` read it and its inverse, never R, so a query reduces
+    nothing (R[j] is nonzero exactly at a death j, its lowest one j's birth).
 
     ``reduce`` reduces every column of R at once.  The form big-step uses
     is seeded from the pairing of ``persistence_pairs`` instead
@@ -301,20 +303,20 @@ class ReducedDecomposition:
         dec._lay_out(filtration)
         dec.pivot = {}
         for p, births in pairing.births.items():
-            dec.pivot.update(zip(dec.rank[births].tolist(),
-                                 dec.rank[pairing.deaths[p]].tolist()))
+            dec.pivot.update(zip(dec.inverse_order[births].tolist(),
+                                 dec.inverse_order[pairing.deaths[p]].tolist()))
         return dec
 
     def _lay_out(self, filtration: Filtration) -> None:
-        """The filtration's order, its values and the face lists, R all None."""
+        """The filtration's order and inverse, its values and the face lists."""
         cx = self.complex = filtration.complex
         order = self.order = filtration.order
-        self.rank = np.argsort(order)
+        inverse = self.inverse_order = filtration.inverse_order
         self.values: np.ndarray = filtration.values[order]
-        self.cofaces = partial(_cofaces, cx, order, self.rank)
+        self.cofaces = partial(_cofaces, cx, order, inverse)
         by_index = [[]] * cx.n_vertices()
         for p in range(1, cx.dim + 1):
-            by_index += self.rank[cx.facets(p)].tolist()
+            by_index += inverse[cx.facets(p)].tolist()
         self.faces: list[list[int]] = list(map(by_index.__getitem__, order.tolist()))
         self.R: list[int | None] = [None] * len(self.faces)
 
@@ -337,14 +339,14 @@ class ReducedDecomposition:
     def anti_D(self) -> _PairedMatrix:
         """The anti-transposed boundary matrix, reduced on demand."""
         n = len(self.order)
-        return _PairedMatrix(partial(_cocolumn, self.complex, self.order[::-1], n - 1 - self.rank),
+        return _PairedMatrix(partial(_cocolumn, self.complex, self.order[::-1], self.inverse_order),
                              {n - 1 - c: n - 1 - row for row, c in self.pivot.items()},
                              [None] * n, flip=True)
 
     # -- queries ------------------------------------------------------------
 
     def position(self, s: Simplex) -> int:
-        return int(self.rank[self.complex.index[tuple(s)]])
+        return int(self.inverse_order[self.complex.index[tuple(s)]])
 
     def is_death(self, i: int) -> bool:
         return i in self._low
@@ -358,30 +360,31 @@ class ReducedDecomposition:
         pairs = np.array(list(self.pivot.items()), dtype=np.intp).reshape(-1, 2)
         births, deaths = self.order[pairs.T]
         partner[births], partner[deaths] = deaths, births
-        return _pairing(self.complex, self.order, len(self.order) - 1 - self.rank, partner)
+        return _pairing(self.complex, self.order, self.inverse_order, partner)
 
 
-def _cofaces(cx: SimplicialComplex, order: np.ndarray, rank: np.ndarray, q: int) -> np.ndarray:
-    """The cofaces of the simplex at position q of ``order``, one slice of
-    the complex's coboundary arrays, mapped through ``rank`` to positions."""
-    i, blocks = order[q], cx.blocks()
+def _cofaces(cx: SimplicialComplex, ids: np.ndarray, inverse: np.ndarray, c: int) -> np.ndarray:
+    """The positions of the cofaces of the simplex at complex index ids[c]:
+    one slice of the complex's coboundary arrays, read through the
+    filtration's ``inverse_order``."""
+    i, blocks = ids[c], cx.blocks()
     p = bisect_right(blocks, i, key=itemgetter(0)) - 1
     if p == cx.dim:
-        return rank[:0]
+        return inverse[:0]
     indptr, cofaces = cx.coboundary(p)
     r = i - blocks[p][0]
-    return rank[cofaces[indptr[r]:indptr[r + 1]]]
+    return inverse[cofaces[indptr[r]:indptr[r + 1]]]
 
 
-def _cocolumn(cx: SimplicialComplex, ids: np.ndarray, anti: np.ndarray, c: int) -> int:
+def _cocolumn(cx: SimplicialComplex, ids: np.ndarray, inverse: np.ndarray, c: int) -> int:
     """The coboundary of the simplex at complex index ids[c] as a Python-int
-    bitset, bit anti[t] set for each coface t: one slice of the complex's
-    coboundary arrays, packed, so no copy of the whole matrix is made."""
-    e = _cofaces(cx, ids, anti, c)
+    bitset, bit n-1-q set for each coface at position q (a column of the
+    anti-transpose): one slice of the complex's coboundary arrays, packed."""
+    e = _cofaces(cx, ids, inverse, c)
     if not len(e):
         return 0
-    bits = np.zeros(int(e.max()) + 1, dtype=bool)
-    bits[e] = True
+    bits = np.zeros(len(inverse) - int(e.min()), dtype=bool)
+    bits[len(inverse) - 1 - e] = True
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
@@ -390,29 +393,25 @@ def reduce(filtration: Filtration) -> ReducedDecomposition:
     return ReducedDecomposition(filtration)
 
 
-def _pairing(cx: SimplicialComplex, order: np.ndarray, anti: np.ndarray,
-             partner: np.ndarray):
+def _pairing(cx: SimplicialComplex, order: np.ndarray, inverse: np.ndarray, partner: np.ndarray):
     """The PersistencePairing of ``partner`` (complex index -> paired index,
-    -1 when unpaired) under the filtration order ``order``, whose inverse
-    ``anti`` maps a complex index to n-1-position.  The births are read
-    block by block below the top dimension, whose simplices have no coface:
-    the births of dimension p are the p-simplices whose partner lies in the
-    next block, listed in filtration order; dimensions come in order of
-    their first birth.  The unpaired simplices are left to the pairing's
-    first read of ``essential``."""
+    -1 when unpaired) under the filtration order ``order`` and its inverse
+    ``inverse``, which maps a complex index to its position.  The births are
+    read block by block below the top dimension, whose simplices have no
+    coface: the births of dimension p are the p-simplices whose partner lies
+    in the next block, sorted by position; dimensions come in order of their
+    first birth.  The unpaired simplices are left to the pairing's first
+    read of ``essential``."""
     births: dict[int, np.ndarray] = {}
-    last = len(order) - 1
     for p, (start, ids) in enumerate(cx.blocks()[:-1]):
         end = start + len(ids)
-        found = anti[start + np.flatnonzero(partner[start:end] >= end)]
+        found = inverse[start + np.flatnonzero(partner[start:end] >= end)]
         if len(found):
-            # n-1 minus the sorted anti-positions: positions, descending
             found.sort()
-            np.subtract(last, found, out=found)
-            births[p] = order[found[::-1]]
-    births = dict(sorted(births.items(), key=lambda kv: -anti[kv[1][0]]))
+            births[p] = order[found]
+    births = dict(sorted(births.items(), key=lambda kv: inverse[kv[1][0]]))
     deaths = {p: partner[bs] for p, bs in births.items()}
-    return PersistencePairing(cx, births, deaths, order, partner)
+    return PersistencePairing(cx, births, deaths, order, inverse, partner)
 
 
 def _refuse_nan(filtration: Filtration) -> None:
@@ -486,60 +485,60 @@ def persistence_pairs(filtration: Filtration) -> PersistencePairing:
     columns are reduced; an apparent column is built only when a reduced
     column meets its pivot.
 
-    Besides the pairing, it keeps one anti-position array (n-1-position of
-    every simplex); a column is read through it from the complex's
-    coboundary slice when first needed, and each column's earliest coface
-    is one ``maximum.reduceat`` over the non-empty coboundary segments.
+    It reads the filtration's ``inverse_order``: a column is read through it
+    from the complex's coboundary slice when first needed, each column's
+    earliest coface is one ``minimum.reduceat`` over the non-empty
+    coboundary segments, and the edges are sorted once for both passes.
     """
     cx = filtration.complex
     n = len(cx)
-    order = filtration.order
+    order, inverse = filtration.order, filtration.inverse_order
     _refuse_nan(filtration)
-    anti = np.empty(n, dtype=np.intp)
-    anti[order] = np.arange(n - 1, -1, -1)
     partner = np.full(n, -1, dtype=np.intp)
     blocks = cx.blocks()
     if len(blocks) > 1:
         nv, facets = blocks[1][0], cx.facets(1)
-        edges = np.argsort(anti[nv:nv + len(facets)])[::-1]
-        merges = _elder_merges((n - 1 - anti[:nv]).tolist(),
+        edges = np.argsort(inverse[nv:nv + len(facets)])
+        merges = _elder_merges(inverse[:nv].tolist(),
                                zip((nv + edges).tolist(), *facets[edges].T.tolist()))
         births, deaths = np.array(merges, dtype=np.intp).reshape(-1, 2).T
         partner[births] = deaths
         partner[deaths] = births
-    for p in range(1, len(blocks) - 1):
-        _pair_coboundary(cx, p, order, anti, partner)
-    return _pairing(cx, order, anti, partner)
+    for p, (start, ids) in enumerate(blocks[1:-1], start=1):
+        by_position = edges if p == 1 else np.argsort(inverse[start:start + len(ids)])
+        _pair_coboundary(cx, p, by_position, order, inverse, partner)
+    return _pairing(cx, order, inverse, partner)
 
 
-def _pair_coboundary(cx: SimplicialComplex, p: int, order: np.ndarray, anti: np.ndarray,
-                     partner: np.ndarray) -> None:
+def _pair_coboundary(cx: SimplicialComplex, p: int, by_position: np.ndarray, order: np.ndarray,
+                     inverse: np.ndarray, partner: np.ndarray) -> None:
     """Reduce the coboundary columns of the p-simplices not yet paired, in
     reverse filtration order, with apparent pairs as seeded pivots, and
     write each pair found into ``partner``: one dimension of
-    ``persistence_pairs``, whose temporaries go when it returns."""
+    ``persistence_pairs``, whose temporaries go when it returns.
+    ``by_position`` lists the block's offsets in filtration order."""
     n = len(order)
     blocks = cx.blocks()
     start, ids = blocks[p]
     indptr, cofaces = cx.coboundary(p)
-    rows = np.argsort(anti[start:start + len(ids)])
+    rows = by_position[::-1]
     rows = rows[partner[start + rows] < 0]
-    # earliest coface of every column, -1 for none: one maximum per
+    # earliest coface of every column, -1 for none: one minimum per
     # non-empty segment, each running up to the next one's start
     earliest = np.full(len(ids), -1, dtype=np.intp)
     filled = np.flatnonzero(indptr[1:] > indptr[:-1])
-    earliest[filled] = np.maximum.reduceat(anti[cofaces], indptr[filled])
+    earliest[filled] = np.minimum.reduceat(inverse[cofaces], indptr[filled])
     top = earliest[rows]
     has = np.flatnonzero(top >= 0)
-    faces = cx.facets(p + 1)[order[n - 1 - top[has]] - blocks[p + 1][0]]
-    latest = faces[np.arange(len(faces)), np.argmin(anti[faces], axis=1)]
+    faces = cx.facets(p + 1)[order[top[has]] - blocks[p + 1][0]]
+    latest = faces[np.arange(len(faces)), np.argmax(inverse[faces], axis=1)]
     apparent = np.zeros(len(rows), dtype=bool)
     apparent[has] = latest == start + rows[has]
     # apparent columns first, each seeding its pivot; the rest are reduced
     a = np.count_nonzero(apparent)
     keys = start + np.concatenate([rows[apparent], rows[~apparent]])
-    pivot = _reduce_columns(partial(_cocolumn, cx, keys, anti), [None] * len(keys),
-                            dict(zip(top[apparent].tolist(), range(a))), start=a)
+    pivot = _reduce_columns(partial(_cocolumn, cx, keys, inverse), [None] * len(keys),
+                            dict(zip((n - 1 - top[apparent]).tolist(), range(a))), start=a)
     births = keys[np.fromiter(pivot.values(), np.intp, len(pivot))]
     deaths = order[n - 1 - np.fromiter(pivot, np.intp, len(pivot))]
     partner[births] = deaths

@@ -117,6 +117,18 @@ def test_cli_run_rejects_bad_arguments(tmp_path):
         ["run", "--experiment", "circle", "--method", "sgd", "--out", str(tmp_path)],
     )
     assert res.exit_code == 2
+    # an option the experiment does not read is refused, a default is not
+    for experiment, given in (
+            ("sphere_h2", ["--n-points", "5"]), ("sphere_h2", ["--method", "vanilla"]),
+            ("sphere_h2", ["--lr", "3"]), ("sphere_h2", ["--steps", "7"]),
+            ("subsample", ["--method", "big_step"]), ("subsample", ["--lr", "0.5"]),
+            ("subsample", ["--decay", "0.9"]), ("subsample", ["--steps", "20"])):
+        res = runner.invoke(main, ["run", "--experiment", experiment, "--seed", "1", *given,
+                                   "--out", str(tmp_path / "unread")])
+        assert res.exit_code == 2, (experiment, given, res.output)
+        assert (f"validation error: {given[0]} is not read by --experiment {experiment}"
+                in res.output), res.output
+        assert not (tmp_path / "unread").exists()
 
 
 def test_cli_check_passes():

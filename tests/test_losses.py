@@ -151,6 +151,20 @@ def test_empty_diagram_distance_fd(rng):
     np.testing.assert_allclose(grads[1], fd_loss_grad(value, pts), atol=1e-6)
     # negative sign rewards persistence: gradients push deaths upward
     assert np.all(grads[1][:, 1] < 0)
+    # a diagram with no point of the loss's dimension is at distance 0
+    value, grads = loss.evaluate(FakeDiagram({0: pts}))
+    assert value == 0.0 and grads[1].shape == (0, 2)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("make", [lambda q: EmptyDiagramDistanceLoss(dim=1, q=q),
+                                  lambda q: DistanceToTargetLoss(1, [[0.3, 0.8]], q=q)])
+def test_diagram_distance_losses_reject_an_order_outside_one_to_infinity(make, q):
+    # at q = 0.5 the empty-diagram loss was negative, at q = 0 a ZeroDivisionError
+    with pytest.raises(ValueError, match=r"q must lie in \[1, inf\], got "):
+        make(q)
+    for ok in (1.0, 2.0, 3000.0, np.inf):
+        assert make(ok).q == ok
 
 
 @pytest.mark.parametrize("sign", [-1.0, 1.0])

@@ -480,6 +480,7 @@ def test_torus_betti():
     f = Filtration(cx, np.zeros(len(cx)))
     betti = betti_numbers(f)
     assert (betti.get(0), betti.get(1), betti.get(2)) == (1, 2, 1)
+    assert [build_diagram(f).betti(p) for p in range(4)] == [1, 2, 1, 0]
 
 
 def test_decomposition_keeps_its_filtration_complex(rng):
@@ -487,20 +488,35 @@ def test_decomposition_keeps_its_filtration_complex(rng):
     assert reduce(f).complex is f.complex
 
 
-def test_every_consumer_reads_the_filtration_order(rng):
-    """The order is computed once per filtration: the pairing, both forms of
-    the decomposition and the signature read that one read-only array."""
+def test_every_consumer_reads_the_filtration_order(rng, monkeypatch):
+    """The order and its inverse are computed once per filtration: the
+    pairing, both forms of the decomposition and the signature read those
+    read-only arrays.  Once the order is built, the pairing sorts each block
+    of coboundary columns once and the reduction sorts nothing."""
+    sorted_sizes, unpatched = [], np.argsort
+
+    def argsort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return unpatched(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", argsort)
     cx = complete_complex(7, 2)
     lower_star = LowerStar(cx).filtration(np.round(rng.uniform(size=7), 1))
     for f in (VietorisRips(7, 2).filtration(np.round(rng.normal(size=(7, 2)), 1)),
               lower_star, RawValues(cx).filtration(lower_star.values)):
-        pairing = persistence_pairs(f)
-        assert pairing.order is f.order
-        assert reduce(f).order is f.order
-        assert ReducedDecomposition._from_pairing(f, pairing).order is f.order
+        assert np.array_equal(f.inverse_order[f.order], np.arange(len(f)))
+        persistence_pairs(f)  # the complex builds its coboundary arrays
+        sorted_sizes.clear()
+        pairing, dec = persistence_pairs(f), reduce(f)
+        # each block with coboundary columns sorted once, the order never
+        assert sorted_sizes == [len(ids) for _, ids in f.complex.blocks()[1:-1]]
+        from_pairing = ReducedDecomposition._from_pairing(f, pairing)
+        for held in (pairing, dec, from_pairing):
+            assert held.order is f.order and held.inverse_order is f.inverse_order
         assert np.array_equal(total_order(f).indices(), f.order)
-        with pytest.raises(ValueError, match="read-only"):
-            f.order[0] = f.order[1]
+        for array in (f.order, f.inverse_order):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
 
 def test_raw_values_keep_no_view_of_the_parameter():
@@ -597,8 +613,8 @@ def test_coboundary_writes_its_faces_into_the_arrays_it_keeps():
 
 def test_persistence_pairs_holds_no_copy_of_the_coboundary():
     """At 61 points (37,881 simplices) the pairing reads the coboundary
-    through the anti-positions, column by column; a copy of its entries,
-    or masks over the whole order, would take the peak past 3 MiB."""
+    through the filtration's inverse order, column by column; a copy of its
+    entries, or masks over the whole order, would take the peak past 3 MiB."""
     X = gen_circle(60, outlier=True, seed=0)
     filt = VietorisRips(len(X), 2).filtration(X)
     persistence_pairs(filt)  # the complex builds and keeps its index arrays

@@ -218,6 +218,16 @@ def test_stratified_gradient_decreases_loss(rng):
         assert v1 < v0
 
 
+@pytest.mark.parametrize("gradient", [stratified_gradient, stratified_gradient_const])
+def test_stratified_gradients_at_a_stationary_point(gradient):
+    # the unit square has no tetrahedron, so no H2 point: every sampled
+    # gradient is zero, and no step is admissible
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    g, alpha = gradient(VietorisRips(4, 2), square, TotalPersistenceLoss(dims=(2,)),
+                        StratifiedConfig(m=3))
+    assert g.shape == square.shape and not g.any() and alpha == 0.0
+
+
 def test_stratified_gradient_rejects_non_finite_gradient():
     class NanGradientLoss(DiagramLoss):
         dims = (0,)
@@ -660,6 +670,11 @@ def test_continuation_fixed_point(rng):
     dgm = build_diagram(fam.filtration(X), drop_zero_tol=1e-12)
     theta, _ = continuation_step(fam, X, {0: dgm.ordinary(0)})
     np.testing.assert_allclose(theta, X, atol=1e-8)
+    # no ordinary point in the target dimension: a copy of theta comes back
+    line = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    theta, dgm = continuation_step(VietorisRips(3, 2), line, {1: np.array([[0.0, 1.0]])})
+    assert len(dgm.ordinary(1)) == 0
+    assert theta is not line and np.array_equal(theta, line)
 
 
 def test_continuation_moves_toward_target(rng):
