@@ -131,6 +131,35 @@ def test_cli_run_rejects_bad_arguments(tmp_path):
         assert not (tmp_path / "unread").exists()
 
 
+def test_cli_run_hands_every_option_its_experiment_reads_to_the_experiment(tmp_path, monkeypatch):
+    import topo_opt.experiments as experiments
+    from topo_opt.cli import READS
+
+    calls = {}
+
+    def recorder(experiment):
+        def run(*args, **kwargs):
+            calls[experiment] = args[0] if experiment == "circle" else kwargs
+            return {}
+        return run
+
+    monkeypatch.setattr(experiments, "run_experiment", recorder("circle"))
+    monkeypatch.setattr(experiments, "run_subsample_experiment", recorder("subsample"))
+    monkeypatch.setattr(experiments, "run_sphere_experiment", recorder("sphere_h2"))
+    given = {"method": "vanilla", "steps": "3", "lr": "0.125", "decay": "0.5",
+             "seed": "4", "n_points": "12"}
+    for experiment, names in READS.items():
+        args = [a for name in names for a in ("--" + name.replace("_", "-"), given[name])]
+        res = CliRunner().invoke(main, ["run", "--experiment", experiment, *args,
+                                        "--out", str(tmp_path)])
+        assert res.exit_code == 0, (experiment, res.output)
+    spec = calls["circle"]
+    assert (spec.methods, spec.steps, spec.etas, spec.gammas, spec.seed, spec.n_points) == (
+        ("vanilla",), 3, (0.125,), (0.5,), 4, 12)
+    assert calls["subsample"] == {"seed": 4, "n": 12}
+    assert calls["sphere_h2"] == {"seed": 4}
+
+
 def test_cli_check_passes():
     runner = CliRunner()
     res = runner.invoke(main, ["check"])

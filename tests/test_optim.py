@@ -86,24 +86,30 @@ def test_trace_equality_ignores_wall_time():
 
 def test_quadratic_surrogate_exact_iterates():
     """On f(x) = 1/2 sum x_i^2 (total persistence of bars (0, x_i) under a
-    raw-values filtration) vanilla descent is exactly x_{k+1} = (1-2 lr_k) x_k,
-    lr_k read off the configured schedule."""
+    raw-values filtration) vanilla descent is exactly x_{k+1} = (1-2 lr_k) x_k:
+    lr_k = 0.1 under the geometric schedule with decay 1, and 0.1/(k+1) under
+    the harmonic one."""
     from topo_opt import build_complex
 
     cx = build_complex([(0, 1)])
     fam = RawValues(cx)
     theta0 = np.array([0.0, 0.0, 0.8])  # one bar (0, 0.8) in H0
     loss = TotalPersistenceLoss(dims=(0,))
-    for schedule in ("geometric", "harmonic"):
-        cfg = DescentConfig(method="vanilla", steps=5, lr=0.1, decay=1.0, schedule=schedule)
-        theta, trace = descend(fam, theta0, loss, cfg)
-        lr = cfg.make_schedule()
-        bars = [0.8]
-        for k in range(5):
-            bars.append(bars[-1] * (1.0 - 2 * lr(k)))  # grad acts on both endpoints
-        for k in range(6):
-            assert trace.records[k].loss == pytest.approx(0.5 * bars[k] ** 2)
-        assert theta[2] - theta[1] == pytest.approx(bars[5])
+    cfg = DescentConfig(method="vanilla", steps=5, lr=0.1, decay=1.0)
+    theta, trace = descend(fam, theta0, loss, cfg)
+    expected_bar = 0.8
+    for k in range(6):
+        assert trace.records[k].loss == pytest.approx(0.5 * expected_bar**2)
+        expected_bar *= 1.0 - 2 * 0.1  # grad acts on both endpoints
+    assert theta[2] - theta[1] == pytest.approx(0.8 * (1 - 0.2) ** 5)
+
+    cfg = DescentConfig(method="vanilla", steps=5, lr=0.1, schedule="harmonic")
+    theta, trace = descend(fam, theta0, loss, cfg)
+    expected_bar = 0.8
+    for k in range(6):
+        assert trace.records[k].loss == pytest.approx(0.5 * expected_bar**2)
+        expected_bar *= 1.0 - 2 * 0.1 / (k + 1)
+    assert theta[2] - theta[1] == pytest.approx(0.8 * 0.8 * 0.9 * (1 - 0.2 / 3) * 0.95 * 0.96)
 
 
 def test_snapshots_recorded_at_requested_steps():
